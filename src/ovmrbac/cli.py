@@ -8,22 +8,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
 from . import fixture, model_io, rbac
-from .errors import (
-    NoPermissions,
-    OvmRbacError,
-    ParseError,
-    StructuralViolation,
-    UnknownRole,
-    UnknownUser,
-)
+from .errors import NoPermissions, OvmRbacError, ParseError
 from .model import (
     ConstraintKind,
     EndpointRef,
-    Model,
     Universe,
     VariabilityKind,
     validate_model,
@@ -31,6 +25,10 @@ from .model import (
 from .rbac import Decision, ObjectId, check_access, role_permissions
 from .session import (
     ANY_OPERATION,
+    INT,
+    NAME,
+    NAMES,
+    OPERATIONS,
     OperationFilter,
     OpRequest,
     OutcomeStatus,
@@ -59,58 +57,81 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {exc.reason}") from None
 
 
-def _parse_endpoint(text: str) -> EndpointRef:
-    universe, sep, name = text.partition(":")
-    if not sep or universe not in ("variant", "vp"):
-        raise ValueError(
-            f"endpoint {text!r} must look like variant:<name> or vp:<name>"
-        )
-    return EndpointRef(Universe(universe), name)
+def _write(path: str | Path, text: str) -> None:
+    """Replace the file at ``path`` with ``text`` in one step.
 
-
-def _parse_kind(text: str) -> VariabilityKind:
+    The text goes to a fresh file in the same directory, which then replaces
+    the target, so a crash never leaves a truncated document behind. An
+    existing target keeps its permission bits; a new one gets the umask
+    default, as with a plain open.
+    """
+    target = Path(os.path.realpath(path))
+    temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     try:
-        return VariabilityKind(text)
+        try:
+            mode = stat.S_IMODE(target.stat().st_mode)
+        except FileNotFoundError:
+            mode = None
+        # created no wider than the target's mode, then set to exactly it
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+        fd = os.open(temp, flags, 0o666 if mode is None else mode)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as out:
+                out.write(text)
+            if mode is not None:
+                os.chmod(temp, mode)
+            os.replace(temp, target)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise OvmRbacError(f"cannot write {path}: {exc.strerror}") from None
+
+
+# Usage label of each argument kind on the command line.
+_LABELS = {
+    NAME: "NAME",
+    INT: "INT",
+    VariabilityKind: "mandatory|optional",
+    ConstraintKind: "requires|excludes",
+    EndpointRef: "variant:NAME|vp:NAME",
+}
+
+
+def _parse_arg(kind, text):
+    """Parse one command-line argument of the given kind."""
+    if kind is NAME:
+        return text
+    if kind is NAMES:
+        return frozenset(text)
+    try:
+        if kind is INT:
+            return int(text)
+        if kind is EndpointRef:
+            universe, _, name = text.partition(":")
+            return EndpointRef(Universe(universe), name)
+        return kind(text)
     except ValueError:
-        raise ValueError(f"kind must be mandatory or optional, got {text!r}") from None
+        raise ValueError(f"expected {_LABELS[kind]}, got {text!r}") from None
 
 
 def request_from_args(op: str, raw: list[str]) -> OpRequest:
     """Build a request from command-line strings, validating arity."""
-    def need(count: int, usage: str) -> None:
-        if len(raw) != count:
-            raise ValueError(f"--op {op} expects {usage}")
-
-    if op in ("addManVP", "addOptVP", "removeManVP", "removeOptVP",
-              "addVariant", "removeVariant", "removeAltGroup"):
-        need(1, "one name argument")
-        return OpRequest(op, (raw[0],))
-    if op == "addDependency":
-        need(3, "VARIANT VP KIND")
-        return OpRequest(op, (raw[0], raw[1], _parse_kind(raw[2])))
-    if op == "removeDependency":
-        need(2, "VARIANT VP")
-        return OpRequest(op, (raw[0], raw[1]))
-    if op == "addAltGroup":
+    spec = OPERATIONS.get(op)
+    if spec is None:
+        raise ValueError(f"unknown operation {op!r}")
+    if op == "addAltGroup":  # the variant list goes last on the command line
         if len(raw) < 5:
-            raise ValueError("--op addAltGroup expects VP MIN MAX VARIANT VARIANT...")
-        try:
-            min_card, max_card = int(raw[1]), int(raw[2])
-        except ValueError:
-            raise ValueError("group cardinalities must be integers") from None
-        return OpRequest(op, (frozenset(raw[3:]), min_card, max_card, raw[0]))
-    if op in ("addConstraint", "removeConstraint"):
-        need(3, "KIND FROM TO (endpoints as variant:<name> or vp:<name>)")
-        try:
-            kind = ConstraintKind(raw[0])
-        except ValueError:
-            raise ValueError(
-                f"constraint kind must be requires or excludes, got {raw[0]!r}"
-            ) from None
-        return OpRequest(op, (kind, _parse_endpoint(raw[1]), _parse_endpoint(raw[2])))
-    raise ValueError(f"unknown operation {op!r}")
+            raise ValueError(f"--op {op} expects VP MIN MAX VARIANT VARIANT...")
+        raw = [raw[3:], raw[1], raw[2], raw[0]]
+    elif len(raw) != len(spec.params):
+        usage = " ".join(_LABELS[kind] for kind in spec.params)
+        raise ValueError(f"--op {op} expects {usage}")
+    return OpRequest(op, tuple(map(_parse_arg, spec.params, raw)))
 
 
 def _parse_filter(text: str) -> OperationFilter:
@@ -123,23 +144,18 @@ def _parse_filter(text: str) -> OperationFilter:
     raise ValueError(f"filter must be any, read, or op:<id>, got {text!r}")
 
 
+def _permission_rows(permissions) -> list[dict]:
+    return [
+        {"object": p.object.text, "operation": p.operation}
+        for p in sorted(permissions, key=rbac.Permission.sort_key)
+    ]
+
+
 def _view_document(view: ViewModel) -> dict:
-    # a view is model-shaped; reuse the model encoder for the shared part
-    doc = model_io.model_to_document(
-        Model(
-            variation_points=view.variation_points,
-            variants=view.variants,
-            dependencies=view.dependencies,
-            alt_groups=view.alt_groups,
-            constraints=view.constraints,
-        )
-    )
+    doc = model_io.model_to_document(view)
     doc["vp_stubs"] = sorted(view.vp_stubs)
     doc["provenance"] = {
-        element: [
-            {"object": p.object.text, "operation": p.operation}
-            for p in sorted(perms, key=rbac.Permission.sort_key)
-        ]
+        element: _permission_rows(perms)
         for element, perms in sorted(view.provenance.items())
     }
     return doc
@@ -149,14 +165,12 @@ def cmd_init_example(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "model.json").write_text(
-            model_io.save_model(fixture.build_example_model()), encoding="utf-8"
-        )
-        (out_dir / "policy.json").write_text(
-            model_io.save_policy(fixture.build_example_policy()), encoding="utf-8"
-        )
     except OSError as exc:
         return _fail(f"cannot write to {out_dir}: {exc.strerror}")
+    _write(out_dir / "model.json", model_io.save_model(fixture.build_example_model()))
+    _write(
+        out_dir / "policy.json", model_io.save_policy(fixture.build_example_policy())
+    )
     if args.explain:
         print(fixture.explain_normalization(), end="")
     print(f"wrote {out_dir / 'model.json'} and {out_dir / 'policy.json'}")
@@ -176,7 +190,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     policy = model_io.load_policy(_read(args.policy))
     try:
         request = request_from_args(args.op[0], args.op[1:])
-    except (ValueError, OvmRbacError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     session = Session(user=args.user, model=model, policy=policy)
     outcome = execute(session, request)
@@ -185,31 +199,23 @@ def cmd_apply(args: argparse.Namespace) -> int:
         return EXIT_DENIED
     if outcome.status is OutcomeStatus.REJECTED:
         return EXIT_REJECTED
-    Path(args.model).write_text(
-        model_io.save_model(session.model), encoding="utf-8"
-    )
+    _write(args.model, model_io.save_model(session.model))
     return EXIT_OK
 
 
 def cmd_grant(args: argparse.Namespace) -> int:
     policy = model_io.load_policy(_read(args.policy))
-    try:
-        objects = [ObjectId(text) for text in args.objects]
-        policy = rbac.grant_permission2(policy, objects, args.op, args.role)
-    except (UnknownRole, OvmRbacError) as exc:
-        return _fail(str(exc))
-    Path(args.policy).write_text(model_io.save_policy(policy), encoding="utf-8")
+    objects = [ObjectId(text) for text in args.objects]
+    policy = rbac.grant_permission2(policy, objects, args.op, args.role)
+    _write(args.policy, model_io.save_policy(policy))
     print(f"granted {args.op} on {len(args.objects)} object(s) to {args.role}")
     return EXIT_OK
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
     policy = model_io.load_policy(_read(args.policy))
-    try:
-        policy = rbac.assign_user(policy, args.user, args.role)
-    except OvmRbacError as exc:
-        return _fail(str(exc))
-    Path(args.policy).write_text(model_io.save_policy(policy), encoding="utf-8")
+    policy = rbac.assign_user(policy, args.user, args.role)
+    _write(args.policy, model_io.save_policy(policy))
     print(f"assigned {args.user} to {args.role}")
     return EXIT_OK
 
@@ -232,35 +238,26 @@ def cmd_view(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     try:
         if args.role is not None:
-            permissions = sorted(
-                role_permissions(policy, args.role), key=rbac.Permission.sort_key
-            )
+            permissions = role_permissions(policy, args.role)
             view = derive_view(policy, model, args.role, op_filter)
         else:
-            permissions = sorted(
-                {
-                    perm
-                    for role in rbac.assigned_roles(policy, args.user)
-                    for perm in role_permissions(policy, role)
-                },
-                key=rbac.Permission.sort_key,
-            )
+            permissions = {
+                perm
+                for role in rbac.assigned_roles(policy, args.user)
+                for perm in role_permissions(policy, role)
+            }
             view = user_view(policy, model, args.user, op_filter)
     except NoPermissions as exc:
         return _fail(str(exc), EXIT_DENIED)
-    except (UnknownRole, UnknownUser) as exc:
-        return _fail(str(exc))
     document = {
         "subject": args.role if args.role is not None else args.user,
         "filter": args.filter,
-        "permissions": [
-            {"object": p.object.text, "operation": p.operation} for p in permissions
-        ],
+        "permissions": _permission_rows(permissions),
         "view": _view_document(view),
     }
-    print(json.dumps(document, indent=2, sort_keys=True))
     if args.dot is not None:
-        Path(args.dot).write_text(model_io.export_dot(model, view), encoding="utf-8")
+        _write(args.dot, model_io.export_dot(model, view))
+    print(json.dumps(document, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -339,8 +336,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, StructuralViolation) as exc:
-        return _fail(str(exc))
     except OvmRbacError as exc:
         return _fail(str(exc))
 

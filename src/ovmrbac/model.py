@@ -124,8 +124,9 @@ class AltGroup:
         for member in self.variants:
             check_name(member)
         check_name(self.vp)
-        if self.min_card < 0 or self.max_card < 0:
-            raise CardinalityInvalid("group cardinalities must be natural numbers")
+        for card in (self.min_card, self.max_card):
+            if type(card) is not int or card < 0:  # bools are not cardinalities
+                raise CardinalityInvalid("group cardinalities must be natural numbers")
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,9 @@ class EndpointRef:
 
     def __post_init__(self) -> None:
         check_name(self.name)
+
+    def __str__(self) -> str:
+        return f"{self.universe.value}:{self.name}"
 
     def sort_key(self) -> tuple[str, str]:
         return (self.universe.value, self.name)
@@ -232,17 +236,34 @@ def endpoint_exists(model: Model, ref: EndpointRef) -> bool:
 
 def _describe(constraint: Constraint) -> str:
     return (
-        f"constraint {constraint.kind.value} "
-        f"{constraint.source.universe.value}:{constraint.source.name} -> "
-        f"{constraint.target.universe.value}:{constraint.target.name}"
+        f"constraint {constraint.kind.value} {constraint.source} -> {constraint.target}"
     )
 
 
-def _constraint_blockers(model: Model, ref: EndpointRef) -> list[str]:
-    hits = [
-        c for c in model.constraints if c.source == ref or c.target == ref
+def _ensure_unreferenced(model: Model, ref: EndpointRef) -> None:
+    """Raise ElementInUse listing every relation that still references ``ref``."""
+    if ref.universe is Universe.VP:
+        what = "variation point"
+        deps = [d for d in model.dependencies if d.vp == ref.name]
+        groups = [g for g in model.alt_groups if g.vp == ref.name]
+    else:
+        what = "variant"
+        deps = [d for d in model.dependencies if d.variant == ref.name]
+        groups = [g for g in model.alt_groups if ref.name in g.variants]
+    constraints = [c for c in model.constraints if ref in (c.source, c.target)]
+    deps.sort(key=lambda d: (d.variant, d.vp))
+    groups.sort(key=lambda g: g.vp)
+    constraints.sort(key=Constraint.sort_key)
+    blockers = [
+        *(f"dependency {d.variant} -> {d.vp}" for d in deps),
+        *(f"alternative group at {g.vp}" for g in groups),
+        *(_describe(c) for c in constraints),
     ]
-    return [_describe(c) for c in sorted(hits, key=Constraint.sort_key)]
+    if blockers:
+        raise ElementInUse(
+            f"{what} {ref.name!r} is still referenced by: " + "; ".join(blockers),
+            tuple(blockers),
+        )
 
 
 # --- variation points -------------------------------------------------------
@@ -270,19 +291,7 @@ def add_opt_vp(model: Model, name: str) -> Model:
 def _remove_vp(model: Model, name: str, kind: VariabilityKind) -> Model:
     if name not in vp_names(model, kind):
         raise NotFound(f"no {kind.value} variation point named {name!r}")
-    blockers: list[str] = []
-    for dep in sorted(model.dependencies, key=lambda d: (d.variant, d.vp)):
-        if dep.vp == name:
-            blockers.append(f"dependency {dep.variant} -> {dep.vp}")
-    group = group_at(model, name)
-    if group is not None:
-        blockers.append(f"alternative group at {name}")
-    blockers.extend(_constraint_blockers(model, EndpointRef(Universe.VP, name)))
-    if blockers:
-        raise ElementInUse(
-            f"variation point {name!r} is still referenced by: " + "; ".join(blockers),
-            tuple(blockers),
-        )
+    _ensure_unreferenced(model, EndpointRef(Universe.VP, name))
     return replace(
         model,
         variation_points=model.variation_points - {VariationPoint(name, kind)},
@@ -312,19 +321,7 @@ def add_variant(model: Model, name: str) -> Model:
 def remove_variant(model: Model, name: str) -> Model:
     if name not in variant_names(model):
         raise NotFound(f"no variant named {name!r}")
-    blockers: list[str] = []
-    dep = dependency_for(model, name)
-    if dep is not None:
-        blockers.append(f"dependency {dep.variant} -> {dep.vp}")
-    group = group_of(model, name)
-    if group is not None:
-        blockers.append(f"alternative group at {group.vp}")
-    blockers.extend(_constraint_blockers(model, EndpointRef(Universe.VARIANT, name)))
-    if blockers:
-        raise ElementInUse(
-            f"variant {name!r} is still referenced by: " + "; ".join(blockers),
-            tuple(blockers),
-        )
+    _ensure_unreferenced(model, EndpointRef(Universe.VARIANT, name))
     return replace(model, variants=model.variants - {Variant(name)})
 
 
@@ -474,24 +471,16 @@ def check_structure(model: Model) -> list[Violation]:
             )
         )
 
+    def dangling(subject: str, owner: str, what: str, name: str, known) -> None:
+        if name not in known:
+            detail = f"{owner} names unknown {what} {name!r}"
+            found.add(Violation("dangling-reference", subject, detail))
+
     bindings: dict[str, int] = {}
     for dep in model.dependencies:
-        if dep.variant not in variants:
-            found.add(
-                Violation(
-                    "dangling-reference",
-                    f"{dep.variant} -> {dep.vp}",
-                    f"dependency names unknown variant {dep.variant!r}",
-                )
-            )
-        if dep.vp not in all_vps:
-            found.add(
-                Violation(
-                    "dangling-reference",
-                    f"{dep.variant} -> {dep.vp}",
-                    f"dependency names unknown variation point {dep.vp!r}",
-                )
-            )
+        subject = f"{dep.variant} -> {dep.vp}"
+        dangling(subject, "dependency", "variant", dep.variant, variants)
+        dangling(subject, "dependency", "variation point", dep.vp, all_vps)
         bindings[dep.variant] = bindings.get(dep.variant, 0) + 1
 
     seen_group_vps: set[str] = set()
@@ -506,23 +495,9 @@ def check_structure(model: Model) -> list[Violation]:
                 )
             )
         seen_group_vps.add(group.vp)
-        if group.vp not in all_vps:
-            found.add(
-                Violation(
-                    "dangling-reference",
-                    label,
-                    f"group names unknown variation point {group.vp!r}",
-                )
-            )
+        dangling(label, "group", "variation point", group.vp, all_vps)
         for member in group.variants:
-            if member not in variants:
-                found.add(
-                    Violation(
-                        "dangling-reference",
-                        label,
-                        f"group names unknown variant {member!r}",
-                    )
-                )
+            dangling(label, "group", "variant", member, variants)
             bindings[member] = bindings.get(member, 0) + 1
         if len(group.variants) < 2:
             found.add(
@@ -552,14 +527,8 @@ def check_structure(model: Model) -> list[Violation]:
     for constraint in model.constraints:
         label = _describe(constraint)
         for ref in (constraint.source, constraint.target):
-            if not endpoint_exists(model, ref):
-                found.add(
-                    Violation(
-                        "dangling-reference",
-                        label,
-                        f"constraint names unknown {ref.universe.value} {ref.name!r}",
-                    )
-                )
+            known = variants if ref.universe is Universe.VARIANT else all_vps
+            dangling(label, "constraint", ref.universe.value, ref.name, known)
         if constraint.source == constraint.target:
             found.add(Violation("self-constraint", label, "endpoints are identical"))
         pairs.setdefault((constraint.source, constraint.target), set()).add(
@@ -582,8 +551,7 @@ def check_structure(model: Model) -> list[Violation]:
             found.add(
                 Violation(
                     "constraint-exclusivity",
-                    f"{source.universe.value}:{source.name} -> "
-                    f"{target.universe.value}:{target.name}",
+                    f"{source} -> {target}",
                     "ordered pair claimed by both requires and excludes",
                 )
             )

@@ -26,12 +26,10 @@ from .model import (
     Variant,
     check_structure,
     list_alt_groups,
-    list_constraints,
     list_dependencies,
     list_variants,
 )
-from .rbac import Permission, Policy, parse_object_id
-from .session import ViewModel
+from .rbac import Permission, Policy, check_id, parse_object_id
 
 
 def _endpoint_to_json(ref: EndpointRef) -> dict[str, str]:
@@ -45,22 +43,21 @@ def _canonical_excludes(constraint: Constraint) -> Constraint:
     return constraint
 
 
-def model_to_document(model: Model) -> dict[str, Any]:
-    constraints = []
+def _stored_constraints(constraints: frozenset[Constraint]) -> list[Constraint]:
+    """Sorted constraints, each excludes pair once in its canonical direction."""
+    stored: list[Constraint] = []
     seen: set[Constraint] = set()
-    for constraint in list_constraints(model):
+    for constraint in sorted(constraints, key=Constraint.sort_key):
         if constraint.kind is ConstraintKind.EXCLUDES:
             constraint = _canonical_excludes(constraint)
             if constraint in seen:
                 continue
             seen.add(constraint)
-        constraints.append(
-            {
-                "kind": constraint.kind.value,
-                "from": _endpoint_to_json(constraint.source),
-                "to": _endpoint_to_json(constraint.target),
-            }
-        )
+        stored.append(constraint)
+    return stored
+
+
+def model_to_document(model: Model) -> dict[str, Any]:
     return {
         "variation_points": [
             {"name": point.name, "kind": point.kind.value}
@@ -80,7 +77,14 @@ def model_to_document(model: Model) -> dict[str, Any]:
             }
             for g in list_alt_groups(model)
         ],
-        "constraints": constraints,
+        "constraints": [
+            {
+                "kind": c.kind.value,
+                "from": _endpoint_to_json(c.source),
+                "to": _endpoint_to_json(c.target),
+            }
+            for c in _stored_constraints(model.constraints)
+        ],
     }
 
 
@@ -93,6 +97,10 @@ def _load_json(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
+    except ValueError as exc:  # e.g. an integer beyond the digit limit
+        raise ParseError(str(exc)) from None
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -100,22 +108,19 @@ def _expect(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
-def _endpoint_from_json(data: Any, where: str) -> EndpointRef:
-    _expect(isinstance(data, dict), f"{where}: endpoint must be an object")
-    try:
-        universe = Universe(data.get("universe"))
-    except ValueError:
-        raise ParseError(f"{where}: unknown universe {data.get('universe')!r}") from None
-    name = data.get("name")
-    _expect(isinstance(name, str), f"{where}: endpoint name must be a string")
-    return EndpointRef(universe, name)
-
-
 def _enum_value(enum_cls, raw, where: str):
     try:
         return enum_cls(raw)
     except ValueError:
         raise ParseError(f"{where}: unknown value {raw!r}") from None
+
+
+def _endpoint_from_json(data: Any, where: str) -> EndpointRef:
+    _expect(isinstance(data, dict), f"{where}: endpoint must be an object")
+    universe = _enum_value(Universe, data.get("universe"), where)
+    name = data.get("name")
+    _expect(isinstance(name, str), f"{where}: endpoint name must be a string")
+    return EndpointRef(universe, name)
 
 
 def load_model(text: str) -> Model:
@@ -144,16 +149,12 @@ def load_model(text: str) -> Model:
         for entry in data.get("alt_groups", []):
             _expect(isinstance(entry, dict), "alt_groups entries must be objects")
             members = entry.get("variants", [])
-            _expect(isinstance(members, list), "alt_groups variants must be a list")
             _expect(
-                isinstance(entry.get("min"), int) and isinstance(entry.get("max"), int),
-                "alt_groups cardinalities must be integers",
+                isinstance(members, list) and all(isinstance(m, str) for m in members),
+                "alt_groups variants must be a list of strings",
             )
-            groups.add(
-                AltGroup(
-                    frozenset(members), entry["min"], entry["max"], entry.get("vp")
-                )
-            )
+            cards = entry.get("min"), entry.get("max")
+            groups.add(AltGroup(frozenset(members), *cards, entry.get("vp")))
         constraints = set()
         for entry in data.get("constraints", []):
             _expect(isinstance(entry, dict), "constraints entries must be objects")
@@ -215,6 +216,9 @@ def load_policy(text: str) -> Policy:
         _expect(isinstance(data.get(key, []), list), f"{key} must be a list")
         for value in data.get(key, []):
             _expect(isinstance(value, str), f"{key} entries must be strings")
+    for key in ("users", "roles"):  # the rule add_user and add_role apply
+        for value in data.get(key, []):
+            check_id(value, key[:-1])
     users = frozenset(data.get("users", []))
     roles = frozenset(data.get("roles", []))
     operations = frozenset(data.get("operations", []))
@@ -280,7 +284,7 @@ def _variant_node(name: str) -> str:
     return f"  {_quote('variant:' + name)} [label=\"V\\n{name}\", shape=box];"
 
 
-def export_dot(model: Model, view: ViewModel | None = None) -> str:
+def export_dot(model: Model, view: Model | None = None) -> str:
     """Render the model (or a view of it) in the OVM shape conventions.
 
     Variation points are triangles, variants boxes; mandatory dependencies
@@ -289,36 +293,24 @@ def export_dot(model: Model, view: ViewModel | None = None) -> str:
     bidirectional edge per unordered pair. Views omit invisible elements
     and grey out stub variation points.
     """
-    if view is None:
-        points = model.variation_points
-        variants = model.variants
-        dependencies = model.dependencies
-        groups = model.alt_groups
-        constraints = model.constraints
-        stubs: frozenset[str] = frozenset()
-    else:
-        points = view.variation_points
-        variants = view.variants
-        dependencies = view.dependencies
-        groups = view.alt_groups
-        constraints = view.constraints
-        stubs = view.vp_stubs
+    shown = view or model
+    stubs = getattr(shown, "vp_stubs", frozenset())
 
     lines = ["digraph ovm {"]
-    for point in sorted(points, key=lambda p: p.name):
+    for point in sorted(shown.variation_points, key=lambda p: p.name):
         lines.append(_vp_node(point.name, point.kind))
     for name in sorted(stubs):
         lines.append(_vp_node(name, None, stub=True))
-    for variant in sorted(variants, key=lambda v: v.name):
+    for variant in sorted(shown.variants, key=lambda v: v.name):
         lines.append(_variant_node(variant.name))
 
-    for dep in sorted(dependencies, key=lambda d: (d.variant, d.vp)):
+    for dep in sorted(shown.dependencies, key=lambda d: (d.variant, d.vp)):
         style = "solid" if dep.kind is VariabilityKind.MANDATORY else "dashed"
         lines.append(
             f"  {_quote('variant:' + dep.variant)} -> {_quote('vp:' + dep.vp)} "
             f"[style={style}];"
         )
-    for group in sorted(groups, key=lambda g: g.vp):
+    for group in sorted(shown.alt_groups, key=lambda g: g.vp):
         label = f"[{group.min_card}..{group.max_card}]"
         for member in sorted(group.variants):
             lines.append(
@@ -326,25 +318,14 @@ def export_dot(model: Model, view: ViewModel | None = None) -> str:
                 f'[style=dashed, label="{label}"];'
             )
 
-    drawn_excludes: set[Constraint] = set()
-    for constraint in sorted(constraints, key=Constraint.sort_key):
-        source = f"{constraint.source.universe.value}:{constraint.source.name}"
-        target = f"{constraint.target.universe.value}:{constraint.target.name}"
-        if constraint.kind is ConstraintKind.REQUIRES:
-            lines.append(
-                f"  {_quote(source)} -> {_quote(target)} "
-                f'[style=dashed, label="requires"];'
-            )
+    for constraint in _stored_constraints(shown.constraints):
+        if constraint.kind is ConstraintKind.EXCLUDES:
+            attrs = 'dir=both, label="excludes"'
         else:
-            canonical = _canonical_excludes(constraint)
-            if canonical in drawn_excludes:
-                continue
-            drawn_excludes.add(canonical)
-            src = f"{canonical.source.universe.value}:{canonical.source.name}"
-            dst = f"{canonical.target.universe.value}:{canonical.target.name}"
-            lines.append(
-                f"  {_quote(src)} -> {_quote(dst)} "
-                f'[style=dashed, dir=both, label="excludes"];'
-            )
+            attrs = 'label="requires"'
+        lines.append(
+            f"  {_quote(str(constraint.source))} -> {_quote(str(constraint.target))} "
+            f"[style=dashed, {attrs}];"
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -86,6 +86,20 @@ class Category(Enum):
     REQUIRES_VP_VP = "REQUIRES_VP_VP"
 
 
+class KindObjects(NamedTuple):
+    """Where one variability kind lands in the access model."""
+
+    vp_category: Category
+    dep_category: Category
+    dep_write: str
+
+
+KIND_OBJECTS: dict[VariabilityKind, KindObjects] = {
+    VariabilityKind.MANDATORY: KindObjects(Category.MAN_VP, Category.MAN, "writeManDep"),
+    VariabilityKind.OPTIONAL: KindObjects(Category.OPT_VP, Category.OPT, "writeOptDep"),
+}
+
+
 class Decision(Enum):
     ALLOW = "allow"
     DENY = "deny"
@@ -109,12 +123,8 @@ def _parse_object_text(text: str) -> ParsedObject:
         except ValueError:
             raise ParseError(f"unknown category {rest!r} in object id") from None
     try:
-        if prefix == "vp":
-            return ParsedObject("vp", (check_name(rest),))
-        if prefix == "variant":
-            return ParsedObject("variant", (check_name(rest),))
-        if prefix == "altgroup":
-            return ParsedObject("altgroup", (check_name(rest),))
+        if prefix in ("vp", "variant", "altgroup"):
+            return ParsedObject(prefix, (check_name(rest),))
         if prefix == "dep":
             variant, sep, vp = rest.partition("->")
             if not sep or "->" in vp:
@@ -194,10 +204,7 @@ def alt_group_object(vp: str) -> ObjectId:
 def constraint_object(
     kind: ConstraintKind, source: EndpointRef, target: EndpointRef
 ) -> ObjectId:
-    return ObjectId(
-        f"constraint:{kind.value}:{source.universe.value}:{source.name}"
-        f":{target.universe.value}:{target.name}"
-    )
+    return ObjectId(f"constraint:{kind.value}:{source}:{target}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +232,7 @@ def new_empty_policy() -> Policy:
     return Policy(operations=frozenset(OPERATION_CATALOG))
 
 
-def _check_id(value: str, what: str) -> str:
+def check_id(value: str, what: str) -> str:
     if not isinstance(value, str) or not value or value != value.strip():
         raise InvalidName(f"{what} id must be a non-empty trimmed string")
     return value
@@ -234,14 +241,14 @@ def _check_id(value: str, what: str) -> str:
 # --- administrative operations ------------------------------------------------
 
 def add_user(policy: Policy, user: str) -> Policy:
-    _check_id(user, "user")
+    check_id(user, "user")
     if user in policy.users:
         raise DuplicateId(f"user {user!r} already registered")
     return replace(policy, users=policy.users | {user})
 
 
 def add_role(policy: Policy, role: str) -> Policy:
-    _check_id(role, "role")
+    check_id(role, "role")
     if role in policy.roles:
         raise DuplicateId(f"role {role!r} already registered")
     return replace(policy, roles=policy.roles | {role})
@@ -303,20 +310,25 @@ def revoke_permission(
 
 # --- category resolution --------------------------------------------------------
 
+def element_objects(model: Model) -> dict[ObjectId, object]:
+    """Every model element, keyed by its object id."""
+    elements: dict[ObjectId, object] = {}
+    for point in model.variation_points:
+        elements[vp_object(point.name)] = point
+    for variant in model.variants:
+        elements[variant_object(variant.name)] = variant
+    for dep in model.dependencies:
+        elements[dependency_object(dep.variant, dep.vp)] = dep
+    for group in model.alt_groups:
+        elements[alt_group_object(group.vp)] = group
+    for c in model.constraints:
+        elements[constraint_object(c.kind, c.source, c.target)] = c
+    return elements
+
+
 def element_object_ids(model: Model) -> frozenset[ObjectId]:
     """Every element-scoped object id present in the model."""
-    ids: set[ObjectId] = set()
-    for point in model.variation_points:
-        ids.add(vp_object(point.name))
-    for variant in model.variants:
-        ids.add(variant_object(variant.name))
-    for dep in model.dependencies:
-        ids.add(dependency_object(dep.variant, dep.vp))
-    for group in model.alt_groups:
-        ids.add(alt_group_object(group.vp))
-    for constraint in model.constraints:
-        ids.add(constraint_object(constraint.kind, constraint.source, constraint.target))
-    return frozenset(ids)
+    return frozenset(element_objects(model))
 
 
 def _constraint_category(kind: ConstraintKind, source: Universe, target: Universe) -> Category:
@@ -328,28 +340,19 @@ def category_members(model: Model, category: Category) -> frozenset[ObjectId]:
     """The element ids currently belonging to a category (not OBJECTS)."""
     if category is Category.OBJECTS:
         return element_object_ids(model)
-    if category in (Category.MAN_VP, Category.OPT_VP):
-        wanted = (
-            VariabilityKind.MANDATORY
-            if category is Category.MAN_VP
-            else VariabilityKind.OPTIONAL
-        )
-        return frozenset(
-            vp_object(p.name) for p in model.variation_points if p.kind == wanted
-        )
     if category is Category.VARIANT:
         return frozenset(variant_object(v.name) for v in model.variants)
-    if category in (Category.MAN, Category.OPT):
-        wanted = (
-            VariabilityKind.MANDATORY
-            if category is Category.MAN
-            else VariabilityKind.OPTIONAL
-        )
-        return frozenset(
-            dependency_object(d.variant, d.vp)
-            for d in model.dependencies
-            if d.kind == wanted
-        )
+    for kind, objects in KIND_OBJECTS.items():
+        if category is objects.vp_category:
+            return frozenset(
+                vp_object(p.name) for p in model.variation_points if p.kind is kind
+            )
+        if category is objects.dep_category:
+            return frozenset(
+                dependency_object(d.variant, d.vp)
+                for d in model.dependencies
+                if d.kind is kind
+            )
     if category is Category.ALTGROUP:
         return frozenset(alt_group_object(g.vp) for g in model.alt_groups)
     return frozenset(

@@ -16,9 +16,9 @@ mandatory/optional kind withheld.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import model as ovm
 from .errors import NoPermissions, OvmRbacError, UnknownUser
@@ -35,6 +35,7 @@ from .model import (
     Variant,
 )
 from .rbac import (
+    KIND_OBJECTS,
     Category,
     Decision,
     ObjectId,
@@ -49,27 +50,122 @@ from .rbac import (
     constraint_object,
     dependency_object,
     element_object_ids,
+    element_objects,
     role_permissions,
     variant_object,
     vp_object,
 )
 
+# Argument kinds besides the value types VariabilityKind, ConstraintKind and
+# EndpointRef, which are checked by isinstance.
+NAME = "name"  # one element name
+NAMES = "names"  # a set of element names
+INT = "int"
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One request operation.
+
+    ``params`` are the argument kinds in library order. ``resolve`` maps the
+    arguments and the current model to the (RBAC operation id, target
+    object) the access check sees. ``function`` names the guarded model
+    function that applies the request; it is looked up in the model module
+    at call time, so rebinding that module's names reaches every request.
+    """
+
+    params: tuple
+    function: str
+    resolve: Callable[[tuple, Model], tuple[str, ObjectId]]
+
+
+# Additions of variation points, variants and dependencies target the category
+# the new element will join, exactly as the example policy grants them.
+# Removals target the element id; category grants still cover it through
+# dynamic membership. Alt-group and constraint requests target their element
+# id, which the arguments fully determine, so per-element grants can scope
+# creation as well.
+def _joins(operation: str, category: Category) -> Callable:
+    target = category_object(category)
+    return lambda args, model: (operation, target)
+
+
+def _names(operation: str, object_id: Callable[..., ObjectId]) -> Callable:
+    return lambda args, model: (operation, object_id(*args))
+
+
+def _add_dependency(args: tuple, model: Model) -> tuple[str, ObjectId]:
+    objects = KIND_OBJECTS[args[2]]
+    return objects.dep_write, category_object(objects.dep_category)
+
+
+def _remove_dependency(args: tuple, model: Model) -> tuple[str, ObjectId]:
+    # the kind of the dependency removed; a missing one counts as optional
+    kind = next(
+        (d.kind for d in model.dependencies if (d.variant, d.vp) == args),
+        VariabilityKind.OPTIONAL,
+    )
+    return KIND_OBJECTS[kind].dep_write, dependency_object(*args)
+
+
+_CONSTRAINT = (ConstraintKind, EndpointRef, EndpointRef)
+
+OPERATIONS: dict[str, OpSpec] = {
+    "addManVP": OpSpec(
+        (NAME,), "add_man_vp", _joins("add_Variation_Point", Category.MAN_VP)
+    ),
+    "addOptVP": OpSpec(
+        (NAME,), "add_opt_vp", _joins("add_Variation_Point", Category.OPT_VP)
+    ),
+    "removeManVP": OpSpec(
+        (NAME,), "remove_man_vp", _names("remove_Variation_Point", vp_object)
+    ),
+    "removeOptVP": OpSpec(
+        (NAME,), "remove_opt_vp", _names("remove_Variation_Point", vp_object)
+    ),
+    "addVariant": OpSpec(
+        (NAME,), "add_variant", _joins("add_Variant", Category.VARIANT)
+    ),
+    "removeVariant": OpSpec(
+        (NAME,), "remove_variant", _names("remove_Variant", variant_object)
+    ),
+    "addDependency": OpSpec(
+        (NAME, NAME, VariabilityKind), "add_dependency", _add_dependency
+    ),
+    "removeDependency": OpSpec((NAME, NAME), "remove_dependency", _remove_dependency),
+    "addAltGroup": OpSpec(
+        (NAMES, INT, INT, NAME), "add_alt_group",
+        lambda args, model: ("add_AltGroup", alt_group_object(args[3])),
+    ),
+    "removeAltGroup": OpSpec(
+        (NAME,), "remove_alt_group", _names("remove_AltGroup", alt_group_object)
+    ),
+    "addConstraint": OpSpec(
+        _CONSTRAINT, "add_constraint", _names("add_Constraint", constraint_object)
+    ),
+    "removeConstraint": OpSpec(
+        _CONSTRAINT, "remove_constraint", _names("remove_Constraint", constraint_object)
+    ),
+}
+
 # The mutation requests a session accepts; read access is served by
 # check_access and the view derivations instead.
-REQUEST_OPS: tuple[str, ...] = (
-    "addManVP",
-    "addOptVP",
-    "removeManVP",
-    "removeOptVP",
-    "addVariant",
-    "removeVariant",
-    "addDependency",
-    "removeDependency",
-    "addAltGroup",
-    "removeAltGroup",
-    "addConstraint",
-    "removeConstraint",
-)
+REQUEST_OPS: tuple[str, ...] = tuple(OPERATIONS)
+
+
+def _checked(kind, value):
+    """Validate one request argument against its kind; returns it normalized."""
+    if kind is NAME:
+        return ovm.check_name(value)
+    if kind is NAMES:
+        return frozenset(ovm.check_name(member) for member in value)
+    if kind is INT:
+        if not isinstance(value, int):
+            raise ValueError("group cardinalities must be integers")
+        return value
+    if not isinstance(value, kind):
+        raise ValueError(f"expected a {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -77,7 +173,7 @@ class OpRequest:
     """One mutation request: an operation name plus its positional payload.
 
     Requests are validated on construction (operation name, payload arity,
-    element-name well-formedness), so ``execute`` never has to fail: every
+    each argument against its kind), so ``execute`` never has to fail: every
     constructible request yields an Outcome.
     """
 
@@ -85,56 +181,25 @@ class OpRequest:
     args: tuple
 
     def __post_init__(self) -> None:
-        if self.op not in REQUEST_OPS:
+        spec = OPERATIONS.get(self.op)
+        if spec is None:
             raise ValueError(f"unknown request operation {self.op!r}")
-        object.__setattr__(self, "args", _validated_args(self.op, self.args))
+        if len(self.args) != len(spec.params):
+            raise ValueError(
+                f"{self.op} takes {len(spec.params)} argument(s), got {len(self.args)}"
+            )
+        object.__setattr__(self, "args", tuple(map(_checked, spec.params, self.args)))
 
     def render(self) -> str:
         parts = []
         for arg in self.args:
             if isinstance(arg, frozenset):
                 parts.append("{" + ", ".join(sorted(arg)) + "}")
-            elif isinstance(arg, EndpointRef):
-                parts.append(f"{arg.universe.value}:{arg.name}")
             elif isinstance(arg, Enum):
                 parts.append(arg.value)
             else:
                 parts.append(str(arg))
         return f"{self.op}({', '.join(parts)})"
-
-
-def _validated_args(op: str, args: tuple) -> tuple:
-    def need(count: int) -> None:
-        if len(args) != count:
-            raise ValueError(f"{op} takes {count} argument(s), got {len(args)}")
-
-    if op in ("addManVP", "addOptVP", "removeManVP", "removeOptVP",
-              "addVariant", "removeVariant", "removeAltGroup"):
-        need(1)
-        return (ovm.check_name(args[0]),)
-    if op == "addDependency":
-        need(3)
-        if not isinstance(args[2], VariabilityKind):
-            raise ValueError("dependency kind must be a VariabilityKind")
-        return (ovm.check_name(args[0]), ovm.check_name(args[1]), args[2])
-    if op == "removeDependency":
-        need(2)
-        return (ovm.check_name(args[0]), ovm.check_name(args[1]))
-    if op == "addAltGroup":
-        need(4)
-        members, min_card, max_card, vp = args
-        members = frozenset(ovm.check_name(m) for m in members)
-        if not isinstance(min_card, int) or not isinstance(max_card, int):
-            raise ValueError("group cardinalities must be integers")
-        return (members, min_card, max_card, ovm.check_name(vp))
-    # addConstraint / removeConstraint
-    need(3)
-    kind, source, target = args
-    if not isinstance(kind, ConstraintKind):
-        raise ValueError("constraint kind must be a ConstraintKind")
-    if not isinstance(source, EndpointRef) or not isinstance(target, EndpointRef):
-        raise ValueError("constraint endpoints must be EndpointRef values")
-    return (kind, source, target)
 
 
 def add_man_vp_request(name: str) -> OpRequest:
@@ -192,82 +257,14 @@ def remove_constraint_request(
 
 
 def resolve_request(request: OpRequest, model: Model) -> tuple[str, ObjectId]:
-    """Map a request onto its (operation id, target object) for the check.
-
-    Additions of variation points, variants, and dependencies target the
-    category the new element will join, exactly as the example policy
-    grants them. Removals target the element id; category grants still
-    cover it through dynamic membership. Alt-group and constraint requests
-    target their element id, which is fully determined by the request
-    arguments, so per-element grants can scope creation as well.
-    """
-    op, args = request.op, request.args
-    if op == "addManVP":
-        return "add_Variation_Point", category_object(Category.MAN_VP)
-    if op == "addOptVP":
-        return "add_Variation_Point", category_object(Category.OPT_VP)
-    if op in ("removeManVP", "removeOptVP"):
-        return "remove_Variation_Point", vp_object(args[0])
-    if op == "addVariant":
-        return "add_Variant", category_object(Category.VARIANT)
-    if op == "removeVariant":
-        return "remove_Variant", variant_object(args[0])
-    if op == "addDependency":
-        _, _, kind = args
-        if kind is VariabilityKind.MANDATORY:
-            return "writeManDep", category_object(Category.MAN)
-        return "writeOptDep", category_object(Category.OPT)
-    if op == "removeDependency":
-        variant, vp = args
-        dep = next(
-            (d for d in model.dependencies if d.variant == variant and d.vp == vp),
-            None,
-        )
-        kind = dep.kind if dep is not None else VariabilityKind.OPTIONAL
-        rbac_op = (
-            "writeManDep" if kind is VariabilityKind.MANDATORY else "writeOptDep"
-        )
-        return rbac_op, dependency_object(variant, vp)
-    if op == "addAltGroup":
-        return "add_AltGroup", alt_group_object(args[3])
-    if op == "removeAltGroup":
-        return "remove_AltGroup", alt_group_object(args[0])
-    if op in ("addConstraint", "removeConstraint"):
-        kind, source, target = args
-        rbac_op = "add_Constraint" if op == "addConstraint" else "remove_Constraint"
-        return rbac_op, constraint_object(kind, source, target)
-    raise ValueError(f"unknown request operation {op!r}")
+    """Map a request onto its (operation id, target object) for the check."""
+    return OPERATIONS[request.op].resolve(request.args, model)
 
 
 def apply_request(request: OpRequest, model: Model) -> Model:
     """Run the guarded model operation a request names."""
-    op, args = request.op, request.args
-    if op == "addManVP":
-        return ovm.add_man_vp(model, args[0])
-    if op == "addOptVP":
-        return ovm.add_opt_vp(model, args[0])
-    if op == "removeManVP":
-        return ovm.remove_man_vp(model, args[0])
-    if op == "removeOptVP":
-        return ovm.remove_opt_vp(model, args[0])
-    if op == "addVariant":
-        return ovm.add_variant(model, args[0])
-    if op == "removeVariant":
-        return ovm.remove_variant(model, args[0])
-    if op == "addDependency":
-        return ovm.add_dependency(model, *args)
-    if op == "removeDependency":
-        return ovm.remove_dependency(model, *args)
-    if op == "addAltGroup":
-        members, min_card, max_card, vp = args
-        return ovm.add_alt_group(model, members, min_card, max_card, vp)
-    if op == "removeAltGroup":
-        return ovm.remove_alt_group(model, args[0])
-    if op == "addConstraint":
-        return ovm.add_constraint(model, *args)
-    if op == "removeConstraint":
-        return ovm.remove_constraint(model, *args)
-    raise ValueError(f"unknown request operation {op!r}")
+    function = getattr(ovm, OPERATIONS[request.op].function)
+    return function(model, *request.args)
 
 
 class OutcomeStatus(Enum):
@@ -365,135 +362,80 @@ def exact_operation(operation: str) -> OperationFilter:
     return OperationFilter("exact", operation)
 
 
-@dataclass(frozen=True, eq=True)
-class ViewModel:
+@dataclass(frozen=True)
+class ViewModel(Model):
     """A role-specific projection of a model.
 
-    Shaped like a model, plus the names of variation points that visible
-    relations reference without any permission admitting them (stubs), and
+    A model, plus the names of variation points that visible relations
+    reference without any permission admitting them (stubs), and
     per-element provenance: which permissions admitted each element. A view
     makes no well-formedness claim of its own; it is an induced
     substructure of a valid model.
     """
 
-    variation_points: frozenset[VariationPoint] = frozenset()
-    variants: frozenset[Variant] = frozenset()
-    dependencies: frozenset[Dependency] = frozenset()
-    alt_groups: frozenset[AltGroup] = frozenset()
-    constraints: frozenset[Constraint] = frozenset()
     vp_stubs: frozenset[str] = frozenset()
     provenance: Mapping[str, frozenset[Permission]] = field(default_factory=dict)
 
     def element_ids(self) -> frozenset[str]:
         """Canonical ids of every visible element (stubs excluded)."""
-        ids: set[str] = set()
-        for point in self.variation_points:
-            ids.add(vp_object(point.name).text)
-        for variant in self.variants:
-            ids.add(variant_object(variant.name).text)
-        for dep in self.dependencies:
-            ids.add(dependency_object(dep.variant, dep.vp).text)
-        for group in self.alt_groups:
-            ids.add(alt_group_object(group.vp).text)
-        for constraint in self.constraints:
-            ids.add(
-                constraint_object(
-                    constraint.kind, constraint.source, constraint.target
-                ).text
-            )
-        return frozenset(ids)
+        return frozenset(obj.text for obj in element_object_ids(self))
 
 
-def _admitted_objects(
-    permissions: frozenset[Permission], model: Model
-) -> dict[ObjectId, set[Permission]]:
-    present = element_object_ids(model)
+def _build_view(permissions: frozenset[Permission], model: Model) -> ViewModel:
+    elements = element_objects(model)
+    kinds = (VariationPoint, Variant, Dependency, AltGroup, Constraint)
+    shown: dict[type, set] = {kind: set() for kind in kinds}
+    provenance: dict[str, set[Permission]] = {}
+
+    def admit(obj: ObjectId, element, perms: set[Permission]) -> None:
+        shown[type(element)].add(element)
+        provenance.setdefault(obj.text, set()).update(perms)
+
     admitted: dict[ObjectId, set[Permission]] = {}
     for perm in permissions:
         if perm.object.is_category:
             covered = category_members(model, perm.object.category)
-        elif perm.object in present:
-            covered = {perm.object}
+        elif perm.object in elements:
+            covered = (perm.object,)
         else:
-            covered = set()  # dangling element grant: inert
+            covered = ()  # dangling element grant: inert
         for obj in covered:
             admitted.setdefault(obj, set()).add(perm)
-    return admitted
-
-
-def _build_view(
-    admitted: dict[ObjectId, set[Permission]], model: Model
-) -> ViewModel:
-    points: set[VariationPoint] = set()
-    variants: set[Variant] = set()
-    dependencies: set[Dependency] = set()
-    groups: set[AltGroup] = set()
-    constraints: set[Constraint] = set()
-    provenance: dict[str, set[Permission]] = {}
-
-    def admit(obj_text: str, perms: set[Permission]) -> None:
-        provenance.setdefault(obj_text, set()).update(perms)
-
     for obj, perms in admitted.items():
-        parsed = obj.parts()
-        if parsed.kind == "vp":
-            kind = ovm.vp_kind(model, parsed.fields[0])
-            points.add(VariationPoint(parsed.fields[0], kind))
-        elif parsed.kind == "variant":
-            variants.add(Variant(parsed.fields[0]))
-        elif parsed.kind == "dep":
-            variant, vp = parsed.fields
-            dep = next(
-                d
-                for d in model.dependencies
-                if d.variant == variant and d.vp == vp
-            )
-            dependencies.add(dep)
-        elif parsed.kind == "altgroup":
-            groups.add(next(g for g in model.alt_groups if g.vp == parsed.fields[0]))
-        elif parsed.kind == "constraint":
-            ckind, source, target = parsed.fields
-            constraints.add(Constraint(ckind, source, target))
-        admit(obj.text, perms)
+        admit(obj, elements[obj], perms)
 
     # Visible relations carry their variant endpoints along; variation-point
     # endpoints that no permission admits become stubs with the kind hidden.
     referenced_vps: set[str] = set()
 
     def pull_variant(name: str, perms: set[Permission]) -> None:
-        variants.add(Variant(name))
-        admit(variant_object(name).text, perms)
+        admit(variant_object(name), Variant(name), perms)
 
-    for dep in dependencies:
+    for dep in shown[Dependency]:
         perms = provenance[dependency_object(dep.variant, dep.vp).text]
         pull_variant(dep.variant, perms)
         referenced_vps.add(dep.vp)
-    for group in groups:
+    for group in shown[AltGroup]:
         perms = provenance[alt_group_object(group.vp).text]
         for member in group.variants:
             pull_variant(member, perms)
         referenced_vps.add(group.vp)
-    for constraint in constraints:
-        perms = provenance[
-            constraint_object(
-                constraint.kind, constraint.source, constraint.target
-            ).text
-        ]
-        for ref in (constraint.source, constraint.target):
+    for c in shown[Constraint]:
+        perms = provenance[constraint_object(c.kind, c.source, c.target).text]
+        for ref in (c.source, c.target):
             if ref.universe is Universe.VARIANT:
                 pull_variant(ref.name, perms)
             else:
                 referenced_vps.add(ref.name)
 
-    visible_vp_names = {p.name for p in points}
-    stubs = frozenset(referenced_vps - visible_vp_names)
+    points = frozenset(shown[VariationPoint])
     return ViewModel(
-        variation_points=frozenset(points),
-        variants=frozenset(variants),
-        dependencies=frozenset(dependencies),
-        alt_groups=frozenset(groups),
-        constraints=frozenset(constraints),
-        vp_stubs=stubs,
+        variation_points=points,
+        variants=frozenset(shown[Variant]),
+        dependencies=frozenset(shown[Dependency]),
+        alt_groups=frozenset(shown[AltGroup]),
+        constraints=frozenset(shown[Constraint]),
+        vp_stubs=frozenset(referenced_vps - {p.name for p in points}),
         provenance={k: frozenset(v) for k, v in provenance.items()},
     )
 
@@ -513,21 +455,19 @@ def derive_view(
     if not permissions:
         raise NoPermissions(f"role {role!r} has no permissions assigned")
     surviving = frozenset(p for p in permissions if op_filter.allows(p.operation))
-    return _build_view(_admitted_objects(surviving, model), model)
+    return _build_view(surviving, model)
 
 
 def union_views(first: ViewModel, second: ViewModel) -> ViewModel:
     provenance: dict[str, frozenset[Permission]] = dict(first.provenance)
     for key, perms in second.provenance.items():
         provenance[key] = provenance.get(key, frozenset()) | perms
-    points = first.variation_points | second.variation_points
-    visible_vp_names = {p.name for p in points}
+    parts = {
+        f.name: getattr(first, f.name) | getattr(second, f.name) for f in fields(Model)
+    }
+    visible_vp_names = {p.name for p in parts["variation_points"]}
     return ViewModel(
-        variation_points=points,
-        variants=first.variants | second.variants,
-        dependencies=first.dependencies | second.dependencies,
-        alt_groups=first.alt_groups | second.alt_groups,
-        constraints=first.constraints | second.constraints,
+        **parts,
         vp_stubs=(first.vp_stubs | second.vp_stubs) - visible_vp_names,
         provenance=provenance,
     )

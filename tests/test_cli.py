@@ -1,6 +1,8 @@
 """The CLI is a thin adapter: outputs and exit codes mirror the library."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -77,6 +79,22 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "/no/such/file.json")
         assert code == 2
 
+    def test_undecodable_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"variants": ["\xff"]}')
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert "cannot read" in err
+
+    def test_unhashable_group_member_exits_two(self, example_dir, capsys):
+        path = example_dir / "model.json"
+        doc = json.loads(path.read_text())
+        doc["alt_groups"][0]["variants"] = [[1], "Password", "SSLAuth"]
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestApply:
     def test_applied_rewrites_model(self, example_dir, capsys):
@@ -145,6 +163,47 @@ class TestApply:
         )
         assert code == 0
         assert "outcome=applied" in out
+
+
+class TestWrites:
+    def test_replaced_file_keeps_its_mode(self, example_dir, capsys):
+        model = example_dir / "model.json"
+        os.chmod(model, 0o640)
+        code, _, _ = run(
+            capsys, "apply", str(model), str(example_dir / "policy.json"),
+            "--user", "Alice", "--op", "addManVP", "New VP",
+        )
+        assert code == 0
+        assert "New VP" in model.read_text()
+        assert stat.S_IMODE(model.stat().st_mode) == 0o640
+        assert sorted(p.name for p in example_dir.iterdir()) == [
+            "model.json", "policy.json"
+        ]
+
+    def test_new_file_gets_the_umask_mode(self, example_dir, tmp_path, capsys):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        dot_path = tmp_path / "view.dot"
+        code, _, _ = run(
+            capsys, "view", str(example_dir / "model.json"),
+            str(example_dir / "policy.json"),
+            "--role", "Security Expert", "--dot", str(dot_path),
+        )
+        assert code == 0
+        assert dot_path.stat().st_mode == plain.stat().st_mode
+
+    def test_write_failure_exits_two(self, example_dir, capsys):
+        code, out, err = run(
+            capsys, "view", str(example_dir / "model.json"),
+            str(example_dir / "policy.json"),
+            "--role", "Security Expert", "--dot", str(example_dir),
+        )
+        assert code == 2
+        assert err.startswith("error: cannot write")
+        assert out == ""
+        assert sorted(p.name for p in example_dir.iterdir()) == [
+            "model.json", "policy.json"
+        ]
 
 
 class TestGrantAssign:

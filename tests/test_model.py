@@ -244,6 +244,11 @@ class TestAltGroups:
         with pytest.raises(CardinalityInvalid):
             add_alt_group(example_model, {"x32", "x64"}, 2, 1, "CPU VP")
 
+    def test_boolean_cardinality(self, example_model):
+        without = remove_alt_group(example_model, "CPU VP")
+        with pytest.raises(CardinalityInvalid):
+            add_alt_group(without, {"x32", "x64"}, True, True, "CPU VP")
+
     def test_max_beyond_size(self, example_model):
         without = remove_alt_group(example_model, "CPU VP")
         with pytest.raises(CardinalityInvalid):

@@ -6,6 +6,7 @@ import pytest
 
 from ovmrbac import (
     ConstraintKind,
+    OvmRbacError,
     ParseError,
     READ_LIKE,
     StructuralViolation,
@@ -101,6 +102,38 @@ class TestModelDocuments:
         # completeness is a validate-time concern, not a load-time one
         model = load_model(json.dumps({"variants": ["loner"]}))
         assert len(model.variants) == 1
+
+
+class TestLoadingIsTotal:
+    """Bad documents raise OvmRbacError, never another exception."""
+
+    def test_unhashable_group_member(self, example_model):
+        doc = json.loads(save_model(example_model))
+        doc["alt_groups"][0]["variants"] = [[1], "Password", "SSLAuth"]
+        with pytest.raises(OvmRbacError):
+            load_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("load", [load_model, load_policy])
+    def test_deep_nesting(self, load):
+        with pytest.raises(OvmRbacError):
+            load("[" * 100000)
+
+    @pytest.mark.parametrize("load", [load_model, load_policy])
+    def test_integer_beyond_the_digit_limit(self, load):
+        with pytest.raises(OvmRbacError):
+            load('{"x": ' + "9" * 5000 + "}")
+
+    def test_boolean_cardinality(self, example_model):
+        doc = json.loads(save_model(example_model))
+        doc["alt_groups"][0]["min"] = True
+        with pytest.raises(OvmRbacError):
+            load_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["users", "roles"])
+    @pytest.mark.parametrize("bad_id", [" ", "", " padded"])
+    def test_policy_ids_follow_the_registration_rule(self, key, bad_id):
+        with pytest.raises(OvmRbacError):
+            load_policy(json.dumps({key: [bad_id]}))
 
 
 class TestPolicyDocuments:
