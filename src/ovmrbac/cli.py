@@ -22,7 +22,7 @@ from .model import (
     VariabilityKind,
     validate_model,
 )
-from .rbac import Decision, ObjectId, check_access, role_permissions
+from .rbac import Decision, ObjectId, check_access, role_permissions, user_permissions
 from .session import (
     ANY_OPERATION,
     INT,
@@ -241,11 +241,7 @@ def cmd_view(args: argparse.Namespace) -> int:
             permissions = role_permissions(policy, args.role)
             view = derive_view(policy, model, args.role, op_filter)
         else:
-            permissions = {
-                perm
-                for role in rbac.assigned_roles(policy, args.user)
-                for perm in role_permissions(policy, role)
-            }
+            permissions = user_permissions(policy, args.user)
             view = user_view(policy, model, args.user, op_filter)
     except NoPermissions as exc:
         return _fail(str(exc), EXIT_DENIED)

@@ -216,9 +216,7 @@ def load_policy(text: str) -> Policy:
         _expect(isinstance(data.get(key, []), list), f"{key} must be a list")
         for value in data.get(key, []):
             _expect(isinstance(value, str), f"{key} entries must be strings")
-    for key in ("users", "roles"):  # the rule add_user and add_role apply
-        for value in data.get(key, []):
-            check_id(value, key[:-1])
+            check_id(value, key[:-1])  # the rule add_user and add_role apply
     users = frozenset(data.get("users", []))
     roles = frozenset(data.get("roles", []))
     operations = frozenset(data.get("operations", []))

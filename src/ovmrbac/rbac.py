@@ -15,9 +15,10 @@ re-granting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Iterable, NamedTuple
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     AlreadyAssigned,
@@ -31,11 +32,16 @@ from .errors import (
     UnknownUser,
 )
 from .model import (
+    AltGroup,
+    Constraint,
     ConstraintKind,
+    Dependency,
     EndpointRef,
     Model,
     Universe,
     VariabilityKind,
+    VariationPoint,
+    Variant,
     check_name,
 )
 
@@ -151,29 +157,30 @@ class ObjectId:
     ``dep:<variant>-><vp>``, ``altgroup:<vp>``, and
     ``constraint:<kind>:<universe>:<name>:<universe>:<name>``. The text is
     unique per object and stable, so equality and ordering are textual.
+    It is parsed once, on construction, and the parse is kept.
     An element id need not reference a currently existing element: grants
     may precede model edits and stay inert until the element appears.
     """
 
     text: str
+    _parsed: ParsedObject = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _parse_object_text(self.text)
+        object.__setattr__(self, "_parsed", _parse_object_text(self.text))
 
     def __str__(self) -> str:
         return self.text
 
     def parts(self) -> ParsedObject:
-        return _parse_object_text(self.text)
+        return self._parsed
 
     @property
     def is_category(self) -> bool:
-        return self.text.startswith("set:")
+        return self._parsed.kind == "category"
 
     @property
     def category(self) -> Category | None:
-        parsed = _parse_object_text(self.text)
-        return parsed.fields[0] if parsed.kind == "category" else None
+        return self._parsed.fields[0] if self._parsed.kind == "category" else None
 
 
 def parse_object_id(text: str) -> ObjectId:
@@ -310,56 +317,72 @@ def revoke_permission(
 
 # --- category resolution --------------------------------------------------------
 
-def element_objects(model: Model) -> dict[ObjectId, object]:
-    """Every model element, keyed by its object id."""
-    elements: dict[ObjectId, object] = {}
-    for point in model.variation_points:
-        elements[vp_object(point.name)] = point
-    for variant in model.variants:
-        elements[variant_object(variant.name)] = variant
-    for dep in model.dependencies:
-        elements[dependency_object(dep.variant, dep.vp)] = dep
-    for group in model.alt_groups:
-        elements[alt_group_object(group.vp)] = group
-    for c in model.constraints:
-        elements[constraint_object(c.kind, c.source, c.target)] = c
-    return elements
+_TAGS = {Universe.VARIANT: "V", Universe.VP: "VP"}
+
+# The category of each (kind, source universe, target universe) constraint shape.
+_CONSTRAINT_CATEGORIES: dict[tuple, Category] = {
+    (kind, source, target): Category(f"{kind.name}_{_TAGS[source]}_{_TAGS[target]}")
+    for kind in ConstraintKind
+    for source in Universe
+    for target in Universe
+}
+
+# Per element type: its object-id spelling and the one category it belongs to.
+_ELEMENT_RULES: dict[type, tuple[Callable, Callable]] = {
+    VariationPoint: (
+        lambda p: f"vp:{p.name}", lambda p: KIND_OBJECTS[p.kind].vp_category
+    ),
+    Variant: (lambda v: f"variant:{v.name}", lambda v: Category.VARIANT),
+    Dependency: (
+        lambda d: f"dep:{d.variant}->{d.vp}", lambda d: KIND_OBJECTS[d.kind].dep_category
+    ),
+    AltGroup: (lambda g: f"altgroup:{g.vp}", lambda g: Category.ALTGROUP),
+    Constraint: (
+        lambda c: f"constraint:{c.kind.value}:{c.source}:{c.target}",
+        lambda c: _CONSTRAINT_CATEGORIES[c.kind, c.source.universe, c.target.universe],
+    ),
+}
+
+# The model component each category draws its members from.
+_COMPONENTS: dict[Category, str] = {
+    Category.MAN_VP: "variation_points",
+    Category.OPT_VP: "variation_points",
+    Category.VARIANT: "variants",
+    Category.MAN: "dependencies",
+    Category.OPT: "dependencies",
+    Category.ALTGROUP: "alt_groups",
+    **dict.fromkeys(_CONSTRAINT_CATEGORIES.values(), "constraints"),
+}
+
+
+def element_text(element) -> str:
+    """The canonical object-id spelling of a model element."""
+    return _ELEMENT_RULES[type(element)][0](element)
+
+
+def element_category(element) -> Category:
+    """The category a model element belongs to, besides OBJECTS."""
+    return _ELEMENT_RULES[type(element)][1](element)
+
+
+def model_elements(model: Model) -> Iterator:
+    """Every element of the model, component by component."""
+    return chain.from_iterable(getattr(model, f.name) for f in fields(Model))
 
 
 def element_object_ids(model: Model) -> frozenset[ObjectId]:
     """Every element-scoped object id present in the model."""
-    return frozenset(element_objects(model))
-
-
-def _constraint_category(kind: ConstraintKind, source: Universe, target: Universe) -> Category:
-    tag = {Universe.VARIANT: "V", Universe.VP: "VP"}
-    return Category(f"{kind.value.upper()}_{tag[source]}_{tag[target]}")
+    return frozenset(ObjectId(element_text(e)) for e in model_elements(model))
 
 
 def category_members(model: Model, category: Category) -> frozenset[ObjectId]:
-    """The element ids currently belonging to a category (not OBJECTS)."""
+    """The element ids currently belonging to a category."""
     if category is Category.OBJECTS:
         return element_object_ids(model)
-    if category is Category.VARIANT:
-        return frozenset(variant_object(v.name) for v in model.variants)
-    for kind, objects in KIND_OBJECTS.items():
-        if category is objects.vp_category:
-            return frozenset(
-                vp_object(p.name) for p in model.variation_points if p.kind is kind
-            )
-        if category is objects.dep_category:
-            return frozenset(
-                dependency_object(d.variant, d.vp)
-                for d in model.dependencies
-                if d.kind is kind
-            )
-    if category is Category.ALTGROUP:
-        return frozenset(alt_group_object(g.vp) for g in model.alt_groups)
     return frozenset(
-        constraint_object(c.kind, c.source, c.target)
-        for c in model.constraints
-        if _constraint_category(c.kind, c.source.universe, c.target.universe)
-        is category
+        ObjectId(element_text(e))
+        for e in getattr(model, _COMPONENTS[category])
+        if element_category(e) is category
     )
 
 
@@ -370,15 +393,10 @@ def syntactic_category(obj: ObjectId) -> Category | None:
     and dependency ids need the model to resolve their mandatory/optional
     kind.
     """
-    parsed = _parse_object_text(obj.text)
-    if parsed.kind == "variant":
-        return Category.VARIANT
-    if parsed.kind == "altgroup":
-        return Category.ALTGROUP
+    parsed = obj.parts()
     if parsed.kind == "constraint":
-        kind, source, target = parsed.fields
-        return _constraint_category(kind, source.universe, target.universe)
-    return None
+        return element_category(Constraint(*parsed.fields))
+    return {"variant": Category.VARIANT, "altgroup": Category.ALTGROUP}.get(parsed.kind)
 
 
 def object_matches(
@@ -419,6 +437,16 @@ def role_permissions(policy: Policy, role: str) -> frozenset[Permission]:
         raise UnknownRole(f"role {role!r} is not registered")
     return frozenset(
         perm for (perm, r) in policy.permission_assignments if r == role
+    )
+
+
+def user_permissions(policy: Policy, user: str) -> frozenset[Permission]:
+    """The union of the permission sets of every role the user holds."""
+    if user not in policy.users:
+        raise UnknownUser(f"user {user!r} is not registered")
+    roles = assigned_roles(policy, user)
+    return frozenset(
+        perm for (perm, role) in policy.permission_assignments if role in roles
     )
 
 

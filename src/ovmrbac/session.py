@@ -16,12 +16,13 @@ mandatory/optional kind withheld.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections import defaultdict
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sized
 
 from . import model as ovm
-from .errors import NoPermissions, OvmRbacError, UnknownUser
+from .errors import NoPermissions, OvmRbacError
 from .model import (
     AltGroup,
     Constraint,
@@ -43,15 +44,15 @@ from .rbac import (
     Policy,
     READ_LIKE_OPERATIONS,
     alt_group_object,
-    assigned_roles,
-    category_members,
     category_object,
     check_access,
     constraint_object,
     dependency_object,
-    element_object_ids,
-    element_objects,
+    element_category,
+    element_text,
+    model_elements,
     role_permissions,
+    user_permissions,
     variant_object,
     vp_object,
 )
@@ -184,9 +185,9 @@ class OpRequest:
         spec = OPERATIONS.get(self.op)
         if spec is None:
             raise ValueError(f"unknown request operation {self.op!r}")
-        if len(self.args) != len(spec.params):
+        if not isinstance(self.args, Sized) or len(self.args) != len(spec.params):
             raise ValueError(
-                f"{self.op} takes {len(spec.params)} argument(s), got {len(self.args)}"
+                f"{self.op} takes {len(spec.params)} argument(s), got {self.args!r}"
             )
         object.__setattr__(self, "args", tuple(map(_checked, spec.params, self.args)))
 
@@ -378,64 +379,60 @@ class ViewModel(Model):
 
     def element_ids(self) -> frozenset[str]:
         """Canonical ids of every visible element (stubs excluded)."""
-        return frozenset(obj.text for obj in element_object_ids(self))
+        return frozenset(map(element_text, model_elements(self)))
 
 
-def _build_view(permissions: frozenset[Permission], model: Model) -> ViewModel:
-    elements = element_objects(model)
-    kinds = (VariationPoint, Variant, Dependency, AltGroup, Constraint)
-    shown: dict[type, set] = {kind: set() for kind in kinds}
+def _build_view(
+    permissions: frozenset[Permission], model: Model, op_filter: OperationFilter
+) -> ViewModel:
+    # The permissions that pass the filter, keyed by category or by exact id.
+    granted: dict[object, set[Permission]] = {}
+    for perm in permissions:
+        if op_filter.allows(perm.operation):
+            granted.setdefault(perm.object.category or perm.object.text, set()).add(perm)
+    everywhere = granted.get(Category.OBJECTS, frozenset())
+    shown: dict[type, set] = defaultdict(set)
     provenance: dict[str, set[Permission]] = {}
 
-    def admit(obj: ObjectId, element, perms: set[Permission]) -> None:
+    def admit(element, perms: set[Permission]) -> None:
         shown[type(element)].add(element)
-        provenance.setdefault(obj.text, set()).update(perms)
+        provenance.setdefault(element_text(element), set()).update(perms)
 
-    admitted: dict[ObjectId, set[Permission]] = {}
-    for perm in permissions:
-        if perm.object.is_category:
-            covered = category_members(model, perm.object.category)
-        elif perm.object in elements:
-            covered = (perm.object,)
-        else:
-            covered = ()  # dangling element grant: inert
-        for obj in covered:
-            admitted.setdefault(obj, set()).add(perm)
-    for obj, perms in admitted.items():
-        admit(obj, elements[obj], perms)
+    # Dangling element grants match no element and stay inert.
+    for element in model_elements(model):
+        category = element_category(element)
+        perms = everywhere.union(
+            granted.get(element_text(element), ()), granted.get(category, ())
+        )
+        if perms:
+            admit(element, perms)
 
     # Visible relations carry their variant endpoints along; variation-point
     # endpoints that no permission admits become stubs with the kind hidden.
     referenced_vps: set[str] = set()
-
-    def pull_variant(name: str, perms: set[Permission]) -> None:
-        admit(variant_object(name), Variant(name), perms)
-
     for dep in shown[Dependency]:
-        perms = provenance[dependency_object(dep.variant, dep.vp).text]
-        pull_variant(dep.variant, perms)
+        admit(Variant(dep.variant), provenance[element_text(dep)])
         referenced_vps.add(dep.vp)
     for group in shown[AltGroup]:
-        perms = provenance[alt_group_object(group.vp).text]
+        perms = provenance[element_text(group)]
         for member in group.variants:
-            pull_variant(member, perms)
+            admit(Variant(member), perms)
         referenced_vps.add(group.vp)
     for c in shown[Constraint]:
-        perms = provenance[constraint_object(c.kind, c.source, c.target).text]
+        perms = provenance[element_text(c)]
         for ref in (c.source, c.target):
             if ref.universe is Universe.VARIANT:
-                pull_variant(ref.name, perms)
+                admit(Variant(ref.name), perms)
             else:
                 referenced_vps.add(ref.name)
 
-    points = frozenset(shown[VariationPoint])
     return ViewModel(
-        variation_points=points,
+        variation_points=frozenset(shown[VariationPoint]),
         variants=frozenset(shown[Variant]),
         dependencies=frozenset(shown[Dependency]),
         alt_groups=frozenset(shown[AltGroup]),
         constraints=frozenset(shown[Constraint]),
-        vp_stubs=frozenset(referenced_vps - {p.name for p in points}),
+        vp_stubs=frozenset(referenced_vps - {p.name for p in shown[VariationPoint]}),
         provenance={k: frozenset(v) for k, v in provenance.items()},
     )
 
@@ -454,23 +451,7 @@ def derive_view(
     permissions = role_permissions(policy, role)
     if not permissions:
         raise NoPermissions(f"role {role!r} has no permissions assigned")
-    surviving = frozenset(p for p in permissions if op_filter.allows(p.operation))
-    return _build_view(surviving, model)
-
-
-def union_views(first: ViewModel, second: ViewModel) -> ViewModel:
-    provenance: dict[str, frozenset[Permission]] = dict(first.provenance)
-    for key, perms in second.provenance.items():
-        provenance[key] = provenance.get(key, frozenset()) | perms
-    parts = {
-        f.name: getattr(first, f.name) | getattr(second, f.name) for f in fields(Model)
-    }
-    visible_vp_names = {p.name for p in parts["variation_points"]}
-    return ViewModel(
-        **parts,
-        vp_stubs=(first.vp_stubs | second.vp_stubs) - visible_vp_names,
-        provenance=provenance,
-    )
+    return _build_view(permissions, model, op_filter)
 
 
 def user_view(
@@ -479,14 +460,10 @@ def user_view(
     user: str,
     op_filter: OperationFilter = ANY_OPERATION,
 ) -> ViewModel:
-    """Union of the views of every role assigned to the user."""
-    if user not in policy.users:
-        raise UnknownUser(f"user {user!r} is not registered")
-    view = ViewModel()
-    for role in sorted(assigned_roles(policy, user)):
-        try:
-            role_view = derive_view(policy, model, role, op_filter)
-        except NoPermissions:
-            continue
-        view = union_views(view, role_view)
-    return view
+    """One projection over the union of the permissions of the user's roles.
+
+    Every step of a view is a union over single permissions, so this equals
+    the union of the user's role views. A user without permissions gets an
+    empty view.
+    """
+    return _build_view(user_permissions(policy, user), model, op_filter)

@@ -19,6 +19,7 @@ from ovmrbac import (
     save_model,
     save_policy,
 )
+from ovmrbac.cli import main
 
 
 class TestModelDocuments:
@@ -129,11 +130,19 @@ class TestLoadingIsTotal:
         with pytest.raises(OvmRbacError):
             load_model(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", ["users", "roles"])
+    @pytest.mark.parametrize("key", ["users", "roles", "operations"])
     @pytest.mark.parametrize("bad_id", [" ", "", " padded"])
     def test_policy_ids_follow_the_registration_rule(self, key, bad_id):
         with pytest.raises(OvmRbacError):
             load_policy(json.dumps({key: [bad_id]}))
+
+    def test_check_on_a_bad_operation_id_exits_two(self, tmp_path, capsys):
+        model, policy = tmp_path / "model.json", tmp_path / "policy.json"
+        model.write_text(save_model(new_empty_model()))
+        policy.write_text(json.dumps({"operations": [" ", ""]}))
+        argv = ["check", str(model), str(policy), "--user", "u", "--op", " "]
+        assert main([*argv, "--object", "vp:x"]) == 2
+        assert "operation id" in capsys.readouterr().err
 
 
 class TestPolicyDocuments:

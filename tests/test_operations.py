@@ -102,6 +102,8 @@ BAD_ARGS = [
     ("addConstraint", ("requires", variant("a"), vp("P")), ValueError),
     ("addConstraint", (REQUIRES, "variant:a", vp("P")), ValueError),
     ("removeConstraint", (EXCLUDES, vp("P"), "vp:Q"), ValueError),
+    ("addManVP", (name for name in ["a"]), ValueError),
+    ("addManVP", None, ValueError),
 ]
 
 
@@ -128,7 +130,12 @@ def test_cli_rejects_missing_arguments(op):
 
 
 @pytest.mark.parametrize(
-    "op, args, error", BAD_ARGS, ids=[f"{op}-{args!r}" for op, args, _ in BAD_ARGS]
+    "op, args, error",
+    BAD_ARGS,
+    ids=[
+        f"{op}-{args!r}" if isinstance(args, tuple) else f"{op}-{type(args).__name__}"
+        for op, args, _ in BAD_ARGS
+    ],
 )
 def test_request_rejects_bad_arity_and_types(op, args, error):
     with pytest.raises(error):

@@ -9,26 +9,37 @@ brute-force materialization of every category grant.
 """
 
 import random
+from dataclasses import fields
 
 import pytest
 
 from ovmrbac import (
+    ANY_OPERATION,
     Model,
+    NoPermissions,
     OPERATION_CATALOG,
     ObjectId,
     OvmRbacError,
+    READ_LIKE,
+    ViewModel,
     add_role,
     add_user,
     assign_user,
     check_access,
     check_structure,
+    derive_view,
+    exact_operation,
     grant_permission2,
     new_empty_model,
     new_empty_policy,
+    user_view,
 )
 from ovmrbac.rbac import Category, Decision, element_object_ids
+from ovmrbac.session import OpRequest
 from tests_support import (
     PAIR_STATES,
+    VP_POOL,
+    apply_model_request,
     constraint_base_model,
     construct_via_operations,
     enumerate_binding_candidates,
@@ -36,6 +47,8 @@ from tests_support import (
     enumerate_raw_dependency_candidates,
     expansion_allowed_triples,
     operation_menu,
+    projected_view,
+    random_model_request,
 )
 
 
@@ -222,3 +235,92 @@ class TestAccessExpansionEquivalence:
                     if (got is Decision.ALLOW) != expected:
                         disagreements.append((user, operation, element))
         assert disagreements == []
+
+
+def random_guarded_model(rng, steps):
+    """A model grown by random requests through the guarded operations.
+
+    Random requests seldom leave two variants free to form an alternative
+    group, so groups of two fresh variants are then requested at some
+    variation points.
+    """
+    requests = [random_model_request(rng) for _ in range(steps)]
+    for vp in rng.sample(VP_POOL, 4):
+        members = (f"{vp} a", f"{vp} b")
+        requests += [OpRequest("addVariant", (name,)) for name in members]
+        requests.append(OpRequest("addAltGroup", (frozenset(members), 1, 2, vp)))
+    model = new_empty_model()
+    for request in requests:
+        try:
+            model = apply_model_request(model, request)
+        except OvmRbacError:
+            pass
+    return model
+
+
+def random_view_policy(rng, model):
+    """Six roles with category, exact and dangling grants, and one without.
+
+    Each user holds two or three roles, at times the one without grants.
+    """
+    elements = sorted(obj.text for obj in element_object_ids(model))
+    dangling = ["vp:Ghost VP", "variant:Ghost", "dep:Ghost->Ghost VP",
+                "altgroup:Ghost VP", "constraint:excludes:vp:Ghost VP:variant:Ghost"]
+    categories = [f"set:{c.value}" for c in Category]
+    policy = new_empty_policy()
+    roles = [f"role{i}" for i in range(6)]
+    for role in roles + ["idle"]:
+        policy = add_role(policy, role)
+    for role in roles:
+        for pool, count in ((categories, 2), (elements, 8), (dangling, 2)):
+            for text in rng.sample(pool, count):
+                operation = rng.choice(OPERATION_CATALOG)
+                policy = grant_permission2(policy, [ObjectId(text)], operation, role)
+    for i in range(5):
+        policy = add_user(policy, f"user{i}")
+        for role in rng.sample(roles + ["idle"], rng.randint(2, 3)):
+            policy = assign_user(policy, f"user{i}", role)
+    return policy
+
+
+def fold_views(views):
+    """The union of views: components, stubs and provenance."""
+    parts = {
+        f.name: frozenset().union(*(getattr(v, f.name) for v in views))
+        for f in fields(Model)
+    }
+    provenance = {}
+    for view in views:
+        for element, perms in view.provenance.items():
+            provenance[element] = provenance.get(element, frozenset()) | perms
+    visible_vps = {p.name for p in parts["variation_points"]}
+    stubs = frozenset().union(*(v.vp_stubs for v in views)) - visible_vps
+    return ViewModel(**parts, vp_stubs=stubs, provenance=provenance)
+
+
+class TestViewProjectionEquivalence:
+    READ = frozenset({"read", "readAltGroup", "readOptDep", "readManDep"})
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_views_match_materialized_grants(self, seed):
+        rng = random.Random(7000 + seed)
+        model = random_guarded_model(rng, 400 + 60 * seed)
+        assert 60 <= len(element_object_ids(model)) <= 150
+        policy = random_view_policy(rng, model)
+        filters = [(ANY_OPERATION, lambda op: True), (READ_LIKE, self.READ.__contains__)]
+        for operation in rng.sample(OPERATION_CATALOG, 3):
+            filters.append((exact_operation(operation), operation.__eq__))
+        for op_filter, allows in filters:
+            views = {}
+            for role in sorted(policy.roles - {"idle"}):
+                view = views[role] = derive_view(policy, model, role, op_filter)
+                expected = projected_view(policy, model, {role}, allows)
+                assert (view.element_ids(), view.vp_stubs) == expected, role
+            for user in sorted(policy.users):
+                roles = {r for u, r in policy.user_assignments if u == user}
+                mine = user_view(policy, model, user, op_filter)
+                assert mine == fold_views([views[r] for r in roles if r in views])
+                expected = projected_view(policy, model, roles, allows)
+                assert (mine.element_ids(), mine.vp_stubs) == expected, user
+            with pytest.raises(NoPermissions):
+                derive_view(policy, model, "idle", op_filter)

@@ -29,7 +29,8 @@ from ovmrbac import (
     revoke_permission,
     user_view,
 )
-from ovmrbac.rbac import element_object_ids
+from ovmrbac import rbac
+from ovmrbac.rbac import OPERATION_CATALOG, element_object_ids, parse_object_id
 from ovmrbac.session import (
     OpRequest,
     add_alt_group_request,
@@ -330,3 +331,26 @@ class TestViewDynamics:
             example_policy, smaller, "Grid Node Expert", ANY_OPERATION
         )
         assert shrunk.element_ids() < view.element_ids()
+
+
+class TestParsing:
+    """Object ids are parsed once, when built; views parse none again."""
+
+    def test_views_and_built_ids_parse_nothing(
+        self, example_model, example_policy, monkeypatch
+    ):
+        built = parse_object_id("constraint:requires:variant:GPU:vp:Processor VP")
+        parsed = []
+        parse = rbac._parse_object_text
+        monkeypatch.setattr(
+            rbac, "_parse_object_text", lambda text: parsed.append(text) or parse(text)
+        )
+        filters = [ANY_OPERATION, READ_LIKE, *map(exact_operation, OPERATION_CATALOG)]
+        for op_filter in filters:
+            for role in sorted(example_policy.roles):
+                derive_view(example_policy, example_model, role, op_filter)
+            for user in sorted(example_policy.users):
+                user_view(example_policy, example_model, user, op_filter)
+        assert (built.category, built.is_category) == (None, False)
+        assert built.parts().kind == "constraint"
+        assert parsed == []

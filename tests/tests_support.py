@@ -358,11 +358,17 @@ def enumerate_constraint_layers():
 
 # --- brute-force access expansion oracle -------------------------------------------
 
-def expansion_allowed_triples(policy, model) -> set[tuple[str, str, str]]:
-    """(user, operation, element id) triples allowed by materializing grants.
+def _constraint_text(c) -> str:
+    return (
+        f"constraint:{c.kind.value}:{c.source.universe.value}"
+        f":{c.source.name}:{c.target.universe.value}:{c.target.name}"
+    )
 
-    Categories are expanded into the element ids they denote by scanning
-    the model directly; the universal grant covers every element.
+
+def materialized_categories(model) -> dict[str, set[str]]:
+    """Category name -> the element ids it denotes, by scanning the model.
+
+    ``OBJECTS`` holds every element id.
     """
     man_vps = {p.name for p in model.variation_points if p.kind is MAN}
     opt_vps = {p.name for p in model.variation_points if p.kind is OPT}
@@ -393,8 +399,7 @@ def expansion_allowed_triples(policy, model) -> set[tuple[str, str, str]]:
                     )
                 )
                 table[label] = {
-                    f"constraint:{c.kind.value}:{c.source.universe.value}"
-                    f":{c.source.name}:{c.target.universe.value}:{c.target.name}"
+                    _constraint_text(c)
                     for c in model.constraints
                     if c.kind is kind
                     and c.source.universe is src_u
@@ -402,17 +407,61 @@ def expansion_allowed_triples(policy, model) -> set[tuple[str, str, str]]:
                 }
     everything = set().union(*table.values())
     table["OBJECTS"] = everything
+    return table
 
+
+def _covered(table, text: str) -> set[str]:
+    """The element ids one granted object id covers under ``table``."""
+    if text.startswith("set:"):
+        return table.get(text[4:], set())
+    return {text} & table["OBJECTS"]
+
+
+def expansion_allowed_triples(policy, model) -> set[tuple[str, str, str]]:
+    """(user, operation, element id) triples allowed by materializing grants.
+
+    Categories are expanded into the element ids they denote by scanning
+    the model directly; the universal grant covers every element.
+    """
+    table = materialized_categories(model)
     allowed = set()
     for user, role in policy.user_assignments:
         for perm, holder in policy.permission_assignments:
             if holder != role:
                 continue
-            text = perm.object.text
-            if text.startswith("set:"):
-                covered = table.get(text[4:], set())
-            else:
-                covered = {text} & everything
-            for element in covered:
+            for element in _covered(table, perm.object.text):
                 allowed.add((user, perm.operation, element))
     return allowed
+
+
+def projected_view(policy, model, roles, allows) -> tuple[frozenset, frozenset]:
+    """(visible element ids, stub names) of the view ``roles`` are granted.
+
+    Grants of the roles whose operation passes ``allows`` are materialized
+    as in ``expansion_allowed_triples``. A visible dependency, group or
+    constraint also shows its variant endpoints; its variation-point
+    endpoints that no grant admits are stubs.
+    """
+    table = materialized_categories(model)
+    admitted = set()
+    for perm, role in policy.permission_assignments:
+        if role in roles and allows(perm.operation):
+            admitted |= _covered(table, perm.object.text)
+    visible, referenced = set(admitted), set()
+    for d in model.dependencies:
+        if f"dep:{d.variant}->{d.vp}" in admitted:
+            visible.add(f"variant:{d.variant}")
+            referenced.add(d.vp)
+    for g in model.alt_groups:
+        if f"altgroup:{g.vp}" in admitted:
+            visible |= {f"variant:{member}" for member in g.variants}
+            referenced.add(g.vp)
+    for c in model.constraints:
+        if _constraint_text(c) in admitted:
+            for ref in (c.source, c.target):
+                if ref.universe is V:
+                    visible.add(f"variant:{ref.name}")
+                else:
+                    referenced.add(ref.name)
+    shown_vps = {text[3:] for text in admitted if text.startswith("vp:")}
+    return frozenset(visible), frozenset(referenced - shown_vps)
