@@ -15,18 +15,10 @@ from pathlib import Path
 
 from . import fixture, model_io, rbac
 from .errors import NoPermissions, OvmRbacError, ParseError
-from .model import (
-    ConstraintKind,
-    EndpointRef,
-    Universe,
-    VariabilityKind,
-    validate_model,
-)
+from .model import validate_model
 from .rbac import Decision, ObjectId, check_access, role_permissions, user_permissions
 from .session import (
     ANY_OPERATION,
-    INT,
-    NAME,
     NAMES,
     OPERATIONS,
     OperationFilter,
@@ -92,33 +84,6 @@ def _write(path: str | Path, text: str) -> None:
         raise OvmRbacError(f"cannot write {path}: {exc.strerror}") from None
 
 
-# Usage label of each argument kind on the command line.
-_LABELS = {
-    NAME: "NAME",
-    INT: "INT",
-    VariabilityKind: "mandatory|optional",
-    ConstraintKind: "requires|excludes",
-    EndpointRef: "variant:NAME|vp:NAME",
-}
-
-
-def _parse_arg(kind, text):
-    """Parse one command-line argument of the given kind."""
-    if kind is NAME:
-        return text
-    if kind is NAMES:
-        return frozenset(text)
-    try:
-        if kind is INT:
-            return int(text)
-        if kind is EndpointRef:
-            universe, _, name = text.partition(":")
-            return EndpointRef(Universe(universe), name)
-        return kind(text)
-    except ValueError:
-        raise ValueError(f"expected {_LABELS[kind]}, got {text!r}") from None
-
-
 def request_from_args(op: str, raw: list[str]) -> OpRequest:
     """Build a request from command-line strings, validating arity."""
     spec = OPERATIONS.get(op)
@@ -126,12 +91,18 @@ def request_from_args(op: str, raw: list[str]) -> OpRequest:
         raise ValueError(f"unknown operation {op!r}")
     if op == "addAltGroup":  # the variant list goes last on the command line
         if len(raw) < 5:
-            raise ValueError(f"--op {op} expects VP MIN MAX VARIANT VARIANT...")
+            raise ValueError(f"--op {op} expects VP MIN MAX {NAMES.label}")
         raw = [raw[3:], raw[1], raw[2], raw[0]]
     elif len(raw) != len(spec.params):
-        usage = " ".join(_LABELS[kind] for kind in spec.params)
+        usage = " ".join(kind.label for kind in spec.params)
         raise ValueError(f"--op {op} expects {usage}")
-    return OpRequest(op, tuple(map(_parse_arg, spec.params, raw)))
+    args = []
+    for kind, text in zip(spec.params, raw):
+        try:
+            args.append(kind.parse(text))
+        except ValueError:
+            raise ValueError(f"expected {kind.label}, got {text!r}") from None
+    return OpRequest(op, tuple(args))
 
 
 def _parse_filter(text: str) -> OperationFilter:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sized
+from typing import Callable, Mapping, NamedTuple, Sized
 
 from . import model as ovm
 from .errors import NoPermissions, OvmRbacError
@@ -57,11 +57,54 @@ from .rbac import (
     vp_object,
 )
 
-# Argument kinds besides the value types VariabilityKind, ConstraintKind and
-# EndpointRef, which are checked by isinstance.
-NAME = "name"  # one element name
-NAMES = "names"  # a set of element names
-INT = "int"
+
+class ArgKind(NamedTuple):
+    """One kind of request argument.
+
+    ``check`` normalizes a library argument or raises. ``parse`` turns its
+    command-line text into a library argument, raising ValueError when the
+    text spells none; ``label`` names the kind in command-line usage.
+    """
+
+    label: str
+    check: Callable[[object], object]
+    parse: Callable[[str], object] = str
+
+
+def _name_set(value) -> frozenset[str]:
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
+        raise ValueError(f"expected a collection of names, got {value!r}")
+    return frozenset(map(ovm.check_name, value))
+
+
+def _integer(value) -> int:
+    if not isinstance(value, int):
+        raise ValueError("group cardinalities must be integers")
+    return value
+
+
+def _value_kind(label: str, cls: type, parse: Callable[[str], object]) -> ArgKind:
+    """The kind of an argument that must already be a ``cls`` value."""
+
+    def check(value):
+        if not isinstance(value, cls):
+            raise ValueError(f"expected a {cls.__name__}, got {value!r}")
+        return value
+
+    return ArgKind(label, check, parse)
+
+
+def _endpoint(text: str) -> EndpointRef:
+    universe, _, name = text.partition(":")
+    return EndpointRef(Universe(universe), name)
+
+
+NAME = ArgKind("NAME", ovm.check_name)
+NAMES = ArgKind("VARIANT VARIANT...", _name_set, frozenset)  # a list on the command line
+INT = ArgKind("INT", _integer, int)
+VARIABILITY = _value_kind("mandatory|optional", VariabilityKind, VariabilityKind)
+CONSTRAINT_KIND = _value_kind("requires|excludes", ConstraintKind, ConstraintKind)
+ENDPOINT = _value_kind("variant:NAME|vp:NAME", EndpointRef, _endpoint)
 
 
 @dataclass(frozen=True)
@@ -109,7 +152,7 @@ def _remove_dependency(args: tuple, model: Model) -> tuple[str, ObjectId]:
     return KIND_OBJECTS[kind].dep_write, dependency_object(*args)
 
 
-_CONSTRAINT = (ConstraintKind, EndpointRef, EndpointRef)
+_CONSTRAINT = (CONSTRAINT_KIND, ENDPOINT, ENDPOINT)
 
 OPERATIONS: dict[str, OpSpec] = {
     "addManVP": OpSpec(
@@ -131,7 +174,7 @@ OPERATIONS: dict[str, OpSpec] = {
         (NAME,), "remove_variant", _names("remove_Variant", variant_object)
     ),
     "addDependency": OpSpec(
-        (NAME, NAME, VariabilityKind), "add_dependency", _add_dependency
+        (NAME, NAME, VARIABILITY), "add_dependency", _add_dependency
     ),
     "removeDependency": OpSpec((NAME, NAME), "remove_dependency", _remove_dependency),
     "addAltGroup": OpSpec(
@@ -154,21 +197,6 @@ OPERATIONS: dict[str, OpSpec] = {
 REQUEST_OPS: tuple[str, ...] = tuple(OPERATIONS)
 
 
-def _checked(kind, value):
-    """Validate one request argument against its kind; returns it normalized."""
-    if kind is NAME:
-        return ovm.check_name(value)
-    if kind is NAMES:
-        return frozenset(ovm.check_name(member) for member in value)
-    if kind is INT:
-        if not isinstance(value, int):
-            raise ValueError("group cardinalities must be integers")
-        return value
-    if not isinstance(value, kind):
-        raise ValueError(f"expected a {kind.__name__}, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class OpRequest:
     """One mutation request: an operation name plus its positional payload.
@@ -189,7 +217,8 @@ class OpRequest:
             raise ValueError(
                 f"{self.op} takes {len(spec.params)} argument(s), got {self.args!r}"
             )
-        object.__setattr__(self, "args", tuple(map(_checked, spec.params, self.args)))
+        checked = [kind.check(arg) for kind, arg in zip(spec.params, self.args)]
+        object.__setattr__(self, "args", tuple(checked))
 
     def render(self) -> str:
         parts = []
@@ -201,60 +230,6 @@ class OpRequest:
             else:
                 parts.append(str(arg))
         return f"{self.op}({', '.join(parts)})"
-
-
-def add_man_vp_request(name: str) -> OpRequest:
-    return OpRequest("addManVP", (name,))
-
-
-def add_opt_vp_request(name: str) -> OpRequest:
-    return OpRequest("addOptVP", (name,))
-
-
-def remove_man_vp_request(name: str) -> OpRequest:
-    return OpRequest("removeManVP", (name,))
-
-
-def remove_opt_vp_request(name: str) -> OpRequest:
-    return OpRequest("removeOptVP", (name,))
-
-
-def add_variant_request(name: str) -> OpRequest:
-    return OpRequest("addVariant", (name,))
-
-
-def remove_variant_request(name: str) -> OpRequest:
-    return OpRequest("removeVariant", (name,))
-
-
-def add_dependency_request(variant: str, vp: str, kind: VariabilityKind) -> OpRequest:
-    return OpRequest("addDependency", (variant, vp, kind))
-
-
-def remove_dependency_request(variant: str, vp: str) -> OpRequest:
-    return OpRequest("removeDependency", (variant, vp))
-
-
-def add_alt_group_request(
-    variants, min_card: int, max_card: int, vp: str
-) -> OpRequest:
-    return OpRequest("addAltGroup", (frozenset(variants), min_card, max_card, vp))
-
-
-def remove_alt_group_request(vp: str) -> OpRequest:
-    return OpRequest("removeAltGroup", (vp,))
-
-
-def add_constraint_request(
-    kind: ConstraintKind, source: EndpointRef, target: EndpointRef
-) -> OpRequest:
-    return OpRequest("addConstraint", (kind, source, target))
-
-
-def remove_constraint_request(
-    kind: ConstraintKind, source: EndpointRef, target: EndpointRef
-) -> OpRequest:
-    return OpRequest("removeConstraint", (kind, source, target))
 
 
 def resolve_request(request: OpRequest, model: Model) -> tuple[str, ObjectId]:

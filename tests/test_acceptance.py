@@ -45,7 +45,7 @@ from ovmrbac import (
 )
 from ovmrbac.fixture import build_example_model, build_example_policy
 from ovmrbac.rbac import element_object_ids
-from ovmrbac.session import remove_man_vp_request
+from ovmrbac.session import OpRequest
 from test_oracle import equivalence_sweep, random_small_policy
 from tests_support import (
     broken_structural_predicates,
@@ -118,7 +118,7 @@ def test_criterion_3_decision_matrix(example_model, example_policy):
 
 def test_criterion_4_guarded_removal(example_model, example_policy):
     session = Session("Alice", example_model, example_policy)
-    outcome = execute(session, remove_man_vp_request("CPU VP"))
+    outcome = execute(session, OpRequest("removeManVP", ("CPU VP",)))
     assert outcome.status is OutcomeStatus.REJECTED
     assert isinstance(outcome.error, ElementInUse)
     assert save_model(session.model) == save_model(example_model)
@@ -131,7 +131,7 @@ def test_criterion_4_guarded_removal(example_model, example_policy):
         EndpointRef(Universe.VP, "CPU VP"),
     )
     session = Session("Alice", unblocked, example_policy)
-    outcome = execute(session, remove_man_vp_request("CPU VP"))
+    outcome = execute(session, OpRequest("removeManVP", ("CPU VP",)))
     assert outcome.status is OutcomeStatus.APPLIED
     assert all(p.name != "CPU VP" for p in session.model.variation_points)
     report(4, "guarded removal")

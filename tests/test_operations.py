@@ -1,8 +1,9 @@
 """The twelve request operations: CLI parsing, RBAC resolution, validation.
 
 Every operation appears once below with a command-line spelling, the request
-the library helper builds, the (operation, target) the access check sees,
-and arguments of the wrong arity or type that ``OpRequest`` must refuse.
+built directly as ``OpRequest(op, args)``, the (operation, target) the access
+check sees, its usage message, and arguments of the wrong arity or type that
+``OpRequest`` must refuse.
 """
 
 import pytest
@@ -12,18 +13,6 @@ from ovmrbac.cli import request_from_args
 from ovmrbac.session import (
     REQUEST_OPS,
     OpRequest,
-    add_alt_group_request,
-    add_constraint_request,
-    add_dependency_request,
-    add_man_vp_request,
-    add_opt_vp_request,
-    add_variant_request,
-    remove_alt_group_request,
-    remove_constraint_request,
-    remove_dependency_request,
-    remove_man_vp_request,
-    remove_opt_vp_request,
-    remove_variant_request,
     resolve_request,
 )
 
@@ -43,48 +32,51 @@ def vp(name):
 
 # (argv after --op, library request, rbac operation, target text)
 CASES = [
-    (["addManVP", "New VP"], add_man_vp_request("New VP"),
+    (["addManVP", "New VP"], OpRequest("addManVP", ("New VP",)),
      "add_Variation_Point", "set:MAN_VP"),
-    (["addOptVP", "New VP"], add_opt_vp_request("New VP"),
+    (["addOptVP", "New VP"], OpRequest("addOptVP", ("New VP",)),
      "add_Variation_Point", "set:OPT_VP"),
-    (["removeManVP", "CPU VP"], remove_man_vp_request("CPU VP"),
+    (["removeManVP", "CPU VP"], OpRequest("removeManVP", ("CPU VP",)),
      "remove_Variation_Point", "vp:CPU VP"),
     (["removeOptVP", "Library Required VP"],
-     remove_opt_vp_request("Library Required VP"),
+     OpRequest("removeOptVP", ("Library Required VP",)),
      "remove_Variation_Point", "vp:Library Required VP"),
-    (["addVariant", "Octave"], add_variant_request("Octave"),
+    (["addVariant", "Octave"], OpRequest("addVariant", ("Octave",)),
      "add_Variant", "set:VARIANT"),
-    (["removeVariant", "Matlab"], remove_variant_request("Matlab"),
+    (["removeVariant", "Matlab"], OpRequest("removeVariant", ("Matlab",)),
      "remove_Variant", "variant:Matlab"),
-    (["addDependency", "a", "P", "mandatory"], add_dependency_request("a", "P", MAN),
+    (["addDependency", "a", "P", "mandatory"],
+     OpRequest("addDependency", ("a", "P", MAN)),
      "writeManDep", "set:MAN"),
-    (["addDependency", "a", "P", "optional"], add_dependency_request("a", "P", OPT),
+    (["addDependency", "a", "P", "optional"],
+     OpRequest("addDependency", ("a", "P", OPT)),
      "writeOptDep", "set:OPT"),
     (["removeDependency", "CPU", "Processor VP"],
-     remove_dependency_request("CPU", "Processor VP"),
+     OpRequest("removeDependency", ("CPU", "Processor VP")),
      "writeManDep", "dep:CPU->Processor VP"),
     (["removeDependency", "GPU", "Processor VP"],
-     remove_dependency_request("GPU", "Processor VP"),
+     OpRequest("removeDependency", ("GPU", "Processor VP")),
      "writeOptDep", "dep:GPU->Processor VP"),
     # a dependency the model does not hold resolves as optional
-    (["removeDependency", "a", "P"], remove_dependency_request("a", "P"),
+    (["removeDependency", "a", "P"], OpRequest("removeDependency", ("a", "P")),
      "writeOptDep", "dep:a->P"),
     (["addAltGroup", "P", "1", "2", "a", "b"],
-     add_alt_group_request({"a", "b"}, 1, 2, "P"),
+     OpRequest("addAltGroup", ({"a", "b"}, 1, 2, "P")),
      "add_AltGroup", "altgroup:P"),
-    (["removeAltGroup", "CPU VP"], remove_alt_group_request("CPU VP"),
+    (["removeAltGroup", "CPU VP"], OpRequest("removeAltGroup", ("CPU VP",)),
      "remove_AltGroup", "altgroup:CPU VP"),
     (["addConstraint", "requires", "variant:a", "vp:P"],
-     add_constraint_request(REQUIRES, variant("a"), vp("P")),
+     OpRequest("addConstraint", (REQUIRES, variant("a"), vp("P"))),
      "add_Constraint", "constraint:requires:variant:a:vp:P"),
     (["addConstraint", "excludes", "vp:P", "vp:Q"],
-     add_constraint_request(EXCLUDES, vp("P"), vp("Q")),
+     OpRequest("addConstraint", (EXCLUDES, vp("P"), vp("Q"))),
      "add_Constraint", "constraint:excludes:vp:P:vp:Q"),
     (["removeConstraint", "excludes", "variant:Matlab", "variant:Sc.Linux"],
-     remove_constraint_request(EXCLUDES, variant("Matlab"), variant("Sc.Linux")),
+     OpRequest("removeConstraint",
+               (EXCLUDES, variant("Matlab"), variant("Sc.Linux"))),
      "remove_Constraint", "constraint:excludes:variant:Matlab:variant:Sc.Linux"),
     (["removeConstraint", "requires", "vp:P", "variant:a"],
-     remove_constraint_request(REQUIRES, vp("P"), variant("a")),
+     OpRequest("removeConstraint", (REQUIRES, vp("P"), variant("a"))),
      "remove_Constraint", "constraint:requires:vp:P:variant:a"),
 ]
 
@@ -104,7 +96,42 @@ BAD_ARGS = [
     ("removeConstraint", (EXCLUDES, vp("P"), "vp:Q"), ValueError),
     ("addManVP", (name for name in ["a"]), ValueError),
     ("addManVP", None, ValueError),
+    # a string is not a set of names, nor is a non-iterable
+    ("addAltGroup", ("ab", 1, 1, "P"), ValueError),
+    ("addAltGroup", (5, 1, 1, "P"), ValueError),
+    ("addAltGroup", (None, 1, 1, "P"), ValueError),
 ]
+
+_CONSTRAINT_USAGE = "requires|excludes variant:NAME|vp:NAME variant:NAME|vp:NAME"
+
+# what the command line prints for each op given no arguments
+USAGE = {
+    "addManVP": "NAME",
+    "addOptVP": "NAME",
+    "removeManVP": "NAME",
+    "removeOptVP": "NAME",
+    "addVariant": "NAME",
+    "removeVariant": "NAME",
+    "addDependency": "NAME NAME mandatory|optional",
+    "removeDependency": "NAME NAME",
+    "addAltGroup": "VP MIN MAX VARIANT VARIANT...",
+    "removeAltGroup": "NAME",
+    "addConstraint": _CONSTRAINT_USAGE,
+    "removeConstraint": _CONSTRAINT_USAGE,
+}
+
+
+def _shown(arg):
+    """An argument's repr, with set members sorted so no hash seed shows."""
+    if isinstance(arg, set):
+        return "{" + ", ".join(map(repr, sorted(arg, key=str))) + "}"
+    return repr(arg)
+
+
+def bad_args_id(op, args):
+    if not isinstance(args, tuple):
+        return f"{op}-{type(args).__name__}"
+    return f"{op}-({', '.join(map(_shown, args))}{',' if len(args) == 1 else ''})"
 
 
 def test_every_op_has_a_case():
@@ -125,17 +152,15 @@ def test_cli_library_and_resolution_agree(
 
 @pytest.mark.parametrize("op", REQUEST_OPS)
 def test_cli_rejects_missing_arguments(op):
-    with pytest.raises(ValueError, match="expects"):
+    with pytest.raises(ValueError) as info:
         request_from_args(op, [])
+    assert str(info.value) == f"--op {op} expects {USAGE[op]}"
 
 
 @pytest.mark.parametrize(
     "op, args, error",
     BAD_ARGS,
-    ids=[
-        f"{op}-{args!r}" if isinstance(args, tuple) else f"{op}-{type(args).__name__}"
-        for op, args, _ in BAD_ARGS
-    ],
+    ids=[bad_args_id(op, args) for op, args, _ in BAD_ARGS],
 )
 def test_request_rejects_bad_arity_and_types(op, args, error):
     with pytest.raises(error):

@@ -283,6 +283,13 @@ def random_view_policy(rng, model):
     return policy
 
 
+def view_case(seed):
+    """The random generator, model and policy of one view-equivalence seed."""
+    rng = random.Random(7000 + seed)
+    model = random_guarded_model(rng, 400 + 60 * seed)
+    return rng, model, random_view_policy(rng, model)
+
+
 def fold_views(views):
     """The union of views: components, stubs and provenance."""
     parts = {
@@ -303,10 +310,8 @@ class TestViewProjectionEquivalence:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_views_match_materialized_grants(self, seed):
-        rng = random.Random(7000 + seed)
-        model = random_guarded_model(rng, 400 + 60 * seed)
+        rng, model, policy = view_case(seed)
         assert 60 <= len(element_object_ids(model)) <= 150
-        policy = random_view_policy(rng, model)
         filters = [(ANY_OPERATION, lambda op: True), (READ_LIKE, self.READ.__contains__)]
         for operation in rng.sample(OPERATION_CATALOG, 3):
             filters.append((exact_operation(operation), operation.__eq__))
@@ -324,3 +329,69 @@ class TestViewProjectionEquivalence:
                 assert (mine.element_ids(), mine.vp_stubs) == expected, user
             with pytest.raises(NoPermissions):
                 derive_view(policy, model, "idle", op_filter)
+
+
+class TestAccessDecisionEquivalence:
+    """check_access on the models and policies of the view test.
+
+    An element id of the model is decided by the materialized grants. Any
+    other id, a category id or one that names no element, is decided from
+    first principles: a grant of that exact id, a grant of ``set:OBJECTS``,
+    or, for a creation operation, a grant of the category the id spells.
+    """
+
+    CREATION = frozenset({"add_AltGroup", "add_Constraint"})
+    DANGLING = [
+        "vp:Ghost VP",
+        "variant:Ghost",
+        "dep:Ghost->Ghost VP",
+        "altgroup:Ghost VP",
+        *(
+            f"constraint:{kind}:{a}:Ghost {a}:{b}:Ghost {b}"
+            for kind in ("requires", "excludes")
+            for a in ("variant", "vp")
+            for b in ("variant", "vp")
+        ),
+    ]
+
+    @staticmethod
+    def spelled_category(text):
+        """``set:`` plus the category an id's spelling alone names, or None."""
+        prefix, _, rest = text.partition(":")
+        if prefix in ("variant", "altgroup"):
+            return f"set:{prefix.upper()}"
+        if prefix == "constraint":
+            kind, source, _, target, _ = rest.split(":")
+            short = {"variant": "V", "vp": "VP"}
+            return f"set:{kind.upper()}_{short[source]}_{short[target]}"
+        return None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_check_access_matches_grants(self, seed):
+        _, model, policy = view_case(seed)
+        present = sorted(obj.text for obj in element_object_ids(model))
+        allowed = expansion_allowed_triples(policy, model)
+        held = {}  # (user, operation) -> the object ids granted to the user
+        for user, role in policy.user_assignments:
+            for perm, holder in policy.permission_assignments:
+                if holder == role:
+                    held.setdefault((user, perm.operation), set()).add(perm.object.text)
+        absent = [f"set:{c.value}" for c in Category] + self.DANGLING
+        disagreements, allows = [], 0
+        for user in sorted(policy.users) + ["stranger"]:
+            for operation in OPERATION_CATALOG + ("explode",):
+                grants = held.get((user, operation), set())
+                expected = {text for text in present if (user, operation, text) in allowed}
+                for text in absent:
+                    category = self.spelled_category(text)
+                    if text in grants or "set:OBJECTS" in grants or (
+                        operation in self.CREATION and category in grants
+                    ):
+                        expected.add(text)
+                for text in present + absent:
+                    got = check_access(policy, model, user, operation, ObjectId(text))
+                    if (got is Decision.ALLOW) != (text in expected):
+                        disagreements.append((user, operation, text))
+                allows += len(expected)
+        assert disagreements == []
+        assert allows

@@ -1,6 +1,7 @@
 """Algebraic invariants of the operation layer, checked property-style."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from ovmrbac import (
     add_variant,
     check_structure,
     grant_permission2,
+    load_model,
+    load_policy,
     new_empty_model,
     remove_alt_group,
     remove_constraint,
@@ -28,6 +31,8 @@ from ovmrbac import (
     remove_opt_vp,
     remove_variant,
     revoke_permission,
+    save_model,
+    save_policy,
 )
 from ovmrbac.rbac import Category, category_object, check_access, Decision, vp_object
 
@@ -248,3 +253,57 @@ def test_pa_growth_is_monotone(example_model, example_policy):
     ]
     for old, new in zip(before, after):
         assert not (old is Decision.ALLOW and new is Decision.DENY)
+
+
+# Arbitrary JSON values, and documents whose keys and strings come from the
+# document vocabulary, so that some of them load and many fail deep inside.
+_TOP_KEYS = [
+    "variation_points", "variants", "dependencies", "alt_groups", "constraints",
+    "users", "roles", "operations", "user_assignments", "grants",
+]
+_FIELDS = [
+    "name", "kind", "variant", "vp", "min", "max", "variants", "from", "to",
+    "universe", "user", "role", "objects", "operation",
+]
+_WORDS = [
+    "a", "b", "P", "mandatory", "optional", "requires", "excludes", "variant",
+    "vp", "read", "set:OBJECTS", "vp:P", "variant:a", " ", "",
+]
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_WORDS)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=3), children,
+                      max_size=5),
+    max_leaves=12,
+)
+_word = st.sampled_from(_WORDS)
+_field = (
+    _word
+    | st.integers(-1, 3)
+    | st.lists(_word, max_size=3)
+    | st.fixed_dictionaries({"universe": _word, "name": _word})
+    | st.none()
+)
+_element = st.fixed_dictionaries({}, optional={key: _field for key in _FIELDS})
+documents = json_values | st.fixed_dictionaries(
+    {}, optional={key: st.lists(_word | _element, max_size=3) for key in _TOP_KEYS}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_loading_round_trips_or_raises(value):
+    """Every JSON document loads and saves stably, or raises OvmRbacError."""
+    text = json.dumps(value)
+    for load, save in ((load_model, save_model), (load_policy, save_policy)):
+        try:
+            loaded = load(text)
+        except OvmRbacError:
+            continue
+        saved = save(loaded)
+        assert save(load(saved)) == saved

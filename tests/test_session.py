@@ -33,14 +33,6 @@ from ovmrbac import rbac
 from ovmrbac.rbac import OPERATION_CATALOG, element_object_ids, parse_object_id
 from ovmrbac.session import (
     OpRequest,
-    add_alt_group_request,
-    add_constraint_request,
-    add_dependency_request,
-    add_man_vp_request,
-    remove_alt_group_request,
-    remove_dependency_request,
-    remove_man_vp_request,
-    remove_variant_request,
     resolve_request,
 )
 
@@ -51,34 +43,49 @@ OPT = VariabilityKind.OPTIONAL
 class TestRequestResolution:
     def test_mapping_table(self, example_model):
         cases = [
-            (add_man_vp_request("New VP"), "add_Variation_Point", "set:MAN_VP"),
+            (OpRequest("addManVP", ("New VP",)), "add_Variation_Point", "set:MAN_VP"),
             (OpRequest("addOptVP", ("New VP",)), "add_Variation_Point", "set:OPT_VP"),
-            (remove_man_vp_request("CPU VP"), "remove_Variation_Point", "vp:CPU VP"),
-            (OpRequest("addVariant", ("v",)), "add_Variant", "set:VARIANT"),
-            (remove_variant_request("Matlab"), "remove_Variant", "variant:Matlab"),
-            (add_dependency_request("a", "P", MAN), "writeManDep", "set:MAN"),
-            (add_dependency_request("a", "P", OPT), "writeOptDep", "set:OPT"),
             (
-                remove_dependency_request("GPU", "Processor VP"),
+                OpRequest("removeManVP", ("CPU VP",)),
+                "remove_Variation_Point",
+                "vp:CPU VP",
+            ),
+            (OpRequest("addVariant", ("v",)), "add_Variant", "set:VARIANT"),
+            (
+                OpRequest("removeVariant", ("Matlab",)),
+                "remove_Variant",
+                "variant:Matlab",
+            ),
+            (OpRequest("addDependency", ("a", "P", MAN)), "writeManDep", "set:MAN"),
+            (OpRequest("addDependency", ("a", "P", OPT)), "writeOptDep", "set:OPT"),
+            (
+                OpRequest("removeDependency", ("GPU", "Processor VP")),
                 "writeOptDep",
                 "dep:GPU->Processor VP",
             ),
             (
-                remove_dependency_request("CPU", "Processor VP"),
+                OpRequest("removeDependency", ("CPU", "Processor VP")),
                 "writeManDep",
                 "dep:CPU->Processor VP",
             ),
             (
-                add_alt_group_request({"a", "b"}, 1, 1, "P"),
+                OpRequest("addAltGroup", ({"a", "b"}, 1, 1, "P")),
                 "add_AltGroup",
                 "altgroup:P",
             ),
-            (remove_alt_group_request("CPU VP"), "remove_AltGroup", "altgroup:CPU VP"),
             (
-                add_constraint_request(
-                    ConstraintKind.EXCLUDES,
-                    EndpointRef(Universe.VARIANT, "a"),
-                    EndpointRef(Universe.VARIANT, "b"),
+                OpRequest("removeAltGroup", ("CPU VP",)),
+                "remove_AltGroup",
+                "altgroup:CPU VP",
+            ),
+            (
+                OpRequest(
+                    "addConstraint",
+                    (
+                        ConstraintKind.EXCLUDES,
+                        EndpointRef(Universe.VARIANT, "a"),
+                        EndpointRef(Universe.VARIANT, "b"),
+                    ),
                 ),
                 "add_Constraint",
                 "constraint:excludes:variant:a:variant:b",
@@ -96,7 +103,7 @@ class TestRequestResolution:
 class TestExecute:
     def test_permitted_but_blocked_is_rejected(self, example_model, example_policy):
         session = Session("Alice", example_model, example_policy)
-        outcome = execute(session, remove_man_vp_request("CPU VP"))
+        outcome = execute(session, OpRequest("removeManVP", ("CPU VP",)))
         assert outcome.status is OutcomeStatus.REJECTED
         assert isinstance(outcome.error, ElementInUse)
         assert session.model == example_model
@@ -105,22 +112,22 @@ class TestExecute:
         self, example_model, example_policy
     ):
         session = Session("Helen", example_model, example_policy)
-        outcome = execute(session, remove_man_vp_request("CPU VP"))
+        outcome = execute(session, OpRequest("removeManVP", ("CPU VP",)))
         assert outcome.status is OutcomeStatus.DENIED
         assert outcome.error is None
         assert session.model == example_model
 
     def test_applied_commits(self, example_model, example_policy):
         session = Session("Alice", example_model, example_policy)
-        outcome = execute(session, add_man_vp_request("New VP"))
+        outcome = execute(session, OpRequest("addManVP", ("New VP",)))
         assert outcome.status is OutcomeStatus.APPLIED
         assert "New VP" in list_vps(session.model, MAN)
         assert outcome.model == session.model
 
     def test_log_records_every_call(self, example_model, example_policy):
         session = Session("Alice", example_model, example_policy)
-        execute(session, add_man_vp_request("New VP"))
-        execute(session, add_man_vp_request("New VP"))  # duplicate -> rejected
+        execute(session, OpRequest("addManVP", ("New VP",)))
+        execute(session, OpRequest("addManVP", ("New VP",)))  # duplicate -> rejected
         execute(session, OpRequest("addVariant", ("v",)))  # no grant -> denied
         assert [e.outcome.status for e in session.log] == [
             OutcomeStatus.APPLIED,
@@ -137,7 +144,8 @@ class TestExecute:
     def test_unknown_user_denied(self, example_model, example_policy):
         session = Session("Mallory", example_model, example_policy)
         assert (
-            execute(session, add_man_vp_request("X")).status is OutcomeStatus.DENIED
+            execute(session, OpRequest("addManVP", ("X",))).status
+            is OutcomeStatus.DENIED
         )
 
     def test_element_grant_authorizes_dependency_write(
@@ -145,12 +153,12 @@ class TestExecute:
     ):
         session = Session("Helen", example_model, example_policy)
         outcome = execute(
-            session, remove_dependency_request("Matlab", "Library Required VP")
+            session, OpRequest("removeDependency", ("Matlab", "Library Required VP"))
         )
         assert outcome.status is OutcomeStatus.APPLIED
         # but Helen holds nothing for the GPU dependency's write operation
         outcome = execute(
-            session, remove_dependency_request("GPU", "Processor VP")
+            session, OpRequest("removeDependency", ("GPU", "Processor VP"))
         )
         assert outcome.status is OutcomeStatus.DENIED
 
