@@ -12,6 +12,7 @@ from ovmrbac import (
     GroupExists,
     InvalidName,
     NotFound,
+    OvmRbacError,
     SelfConstraint,
     Universe,
     VariabilityKind,
@@ -417,3 +418,156 @@ class TestQueries:
         assert names == sorted(names)
         deps = list_dependencies(example_model)
         assert deps == sorted(deps, key=lambda d: (d.variant, d.vp))
+
+
+# --- exact precondition texts --------------------------------------------------
+
+REQ = ConstraintKind.REQUIRES
+EXC = ConstraintKind.EXCLUDES
+
+
+def pinned_model():
+    """P, Q mandatory and O optional; a -> P, d -> Q, the group {b, c} at Q,
+    a requires Q and a excludes d; variants e and f are free."""
+    model = add_opt_vp(add_man_vp(add_man_vp(new_empty_model(), "P"), "Q"), "O")
+    for name in "abcdef":
+        model = add_variant(model, name)
+    model = add_dependency(model, "a", "P", MAN)
+    model = add_dependency(model, "d", "Q", OPT)
+    model = add_alt_group(model, ["b", "c"], 1, 1, "Q")
+    model = add_constraint(model, REQ, variant_ref("a"), vp_ref("Q"))
+    return add_constraint(model, EXC, variant_ref("a"), variant_ref("d"))
+
+
+NON_EMPTY = "element name must be a non-empty string"
+NOT_NATURAL = "group cardinalities must be natural numbers"
+
+# (operation, arguments, error class, str(error)); rows of one operation are
+# in the order its guard checks them, and a row whose arguments break several
+# preconditions pins which of them is reported.
+PRECONDITION_TEXTS = [
+    (add_man_vp, ("",), InvalidName, NON_EMPTY),
+    (add_man_vp, (None,), InvalidName, NON_EMPTY),
+    (add_man_vp, (" X",), InvalidName,
+     "element name ' X' has leading or trailing whitespace"),
+    (add_man_vp, ("a:b",), InvalidName, "element name 'a:b' may not contain ':'"),
+    (add_man_vp, ("a->b",), InvalidName, "element name 'a->b' may not contain '->'"),
+    (add_man_vp, ("P",), DuplicateElement, "variation point 'P' already exists"),
+    (add_man_vp, ("O",), DuplicateElement, "variation point 'O' already exists"),
+    (add_opt_vp, ("",), InvalidName, NON_EMPTY),
+    (add_opt_vp, ("P",), DuplicateElement, "variation point 'P' already exists"),
+    (remove_man_vp, ("",), NotFound, "no mandatory variation point named ''"),
+    (remove_man_vp, (None,), NotFound, "no mandatory variation point named None"),
+    (remove_man_vp, ("O",), NotFound, "no mandatory variation point named 'O'"),
+    (remove_man_vp, ("P",), ElementInUse,
+     "variation point 'P' is still referenced by: dependency a -> P"),
+    (remove_opt_vp, ("",), NotFound, "no optional variation point named ''"),
+    (remove_opt_vp, ("P",), NotFound, "no optional variation point named 'P'"),
+    (add_variant, ("",), InvalidName, NON_EMPTY),
+    (add_variant, ("a\n",), InvalidName,
+     "element name 'a\\n' has leading or trailing whitespace"),
+    (add_variant, ("a",), DuplicateElement, "variant 'a' already exists"),
+    (remove_variant, ("",), NotFound, "no variant named ''"),
+    (remove_variant, (None,), NotFound, "no variant named None"),
+    (remove_variant, ("ghost",), NotFound, "no variant named 'ghost'"),
+    (remove_variant, ("b",), ElementInUse,
+     "variant 'b' is still referenced by: alternative group at Q"),
+    (add_dependency, ("", "P", MAN), InvalidName, NON_EMPTY),
+    (add_dependency, ("ghost", "", MAN), InvalidName, NON_EMPTY),
+    (add_dependency, ("ghost", "nowhere", MAN), NotFound, "no variant named 'ghost'"),
+    (add_dependency, ("e", "nowhere", OPT), NotFound,
+     "no variation point named 'nowhere'"),
+    (add_dependency, ("a", "Q", MAN), VariantAlreadyBound,
+     "variant 'a' already depends on 'P'"),
+    (add_dependency, ("b", "P", OPT), VariantAlreadyBound,
+     "variant 'b' is a member of the group at 'Q'"),
+    (remove_dependency, ("a", "Q"), NotFound, "no dependency 'a' -> 'Q'"),
+    (remove_dependency, ("", ""), NotFound, "no dependency '' -> ''"),
+    (add_alt_group, (["e", ""], 1, 1, "O"), InvalidName, NON_EMPTY),
+    (add_alt_group, (["e", "f"], 1, 1, ""), InvalidName, NON_EMPTY),
+    (add_alt_group, (["zz", "e", "ghost"], 1, 1, "nowhere"), NotFound,
+     "no variant named 'ghost'"),
+    (add_alt_group, (["e", "f"], 1, 1, "nowhere"), NotFound,
+     "no variation point named 'nowhere'"),
+    (add_alt_group, (["e"], 5, 1, "O"), CardinalityInvalid,
+     "an alternative group needs at least two variants"),
+    (add_alt_group, (["a", "e"], 2, 1, "Q"), CardinalityInvalid,
+     "need 0 <= min <= max <= 2, got (2, 1)"),
+    (add_alt_group, (["e", "f"], -1, 1, "O"), CardinalityInvalid,
+     "need 0 <= min <= max <= 2, got (-1, 1)"),
+    (add_alt_group, (["e", "f"], 1, 3, "O"), CardinalityInvalid,
+     "need 0 <= min <= max <= 2, got (1, 3)"),
+    (add_alt_group, (["e", "a", "b"], 1, 1, "Q"), VariantAlreadyBound,
+     "variant 'a' already has a dependency"),
+    (add_alt_group, (["e", "b"], 1, 1, "O"), VariantAlreadyBound,
+     "variant 'b' is already in the group at 'Q'"),
+    (add_alt_group, (["e", "f"], 1, 1, "Q"), GroupExists,
+     "variation point 'Q' already has an alternative group"),
+    (add_alt_group, (["a", "e"], True, True, "O"), VariantAlreadyBound,
+     "variant 'a' already has a dependency"),
+    (add_alt_group, (["e", "f"], True, True, "Q"), GroupExists,
+     "variation point 'Q' already has an alternative group"),
+    (add_alt_group, (["e", "f"], True, 1, "O"), CardinalityInvalid, NOT_NATURAL),
+    (add_alt_group, (["e", "f"], 1, 1.0, "O"), CardinalityInvalid, NOT_NATURAL),
+    (remove_alt_group, ("P",), NotFound, "no alternative group at 'P'"),
+    (remove_alt_group, ("",), NotFound, "no alternative group at ''"),
+    (add_constraint, (REQ, variant_ref("ghost"), vp_ref("nowhere")), NotFound,
+     "no variant named 'ghost'"),
+    (add_constraint, (REQ, variant_ref("e"), vp_ref("nowhere")), NotFound,
+     "no vp named 'nowhere'"),
+    (add_constraint, (EXC, vp_ref("nowhere"), variant_ref("ghost")), NotFound,
+     "no vp named 'nowhere'"),
+    (add_constraint, (REQ, variant_ref("ghost"), variant_ref("ghost")), NotFound,
+     "no variant named 'ghost'"),
+    (add_constraint, (REQ, variant_ref("e"), variant_ref("e")), SelfConstraint,
+     "constraint endpoints are identical: 'e'"),
+    (add_constraint, (EXC, variant_ref("a"), vp_ref("Q")), ConstraintConflict,
+     "the pair 'a' -> 'Q' is already constrained"),
+    (add_constraint, (EXC, vp_ref("Q"), variant_ref("a")), ConstraintConflict,
+     "the pair 'a' -> 'Q' is already constrained"),
+    (add_constraint, (REQ, variant_ref("d"), variant_ref("a")), ConstraintConflict,
+     "the pair 'd' -> 'a' is already constrained"),
+    (remove_constraint, (REQ, variant_ref("a"), variant_ref("d")), NotFound,
+     "no requires constraint 'a' -> 'd'"),
+    (remove_constraint, (EXC, variant_ref("a"), vp_ref("Q")), NotFound,
+     "no excludes constraint 'a' -> 'Q'"),
+]
+
+
+@pytest.mark.parametrize(
+    "operation, args, error, text",
+    PRECONDITION_TEXTS,
+    ids=[f"{row[0].__name__}-{i}" for i, row in enumerate(PRECONDITION_TEXTS)],
+)
+def test_precondition_failure_texts(operation, args, error, text):
+    model = pinned_model()
+    with pytest.raises(OvmRbacError) as exc:
+        operation(model, *args)
+    assert type(exc.value) is error
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize(
+    "operation, name, blockers",
+    [
+        (remove_man_vp, "Q", (
+            "dependency d -> Q",
+            "alternative group at Q",
+            "constraint requires variant:a -> vp:Q",
+        )),
+        (remove_variant, "a", (
+            "dependency a -> P",
+            "constraint excludes variant:a -> variant:d",
+            "constraint excludes variant:d -> variant:a",
+            "constraint requires variant:a -> vp:Q",
+        )),
+    ],
+)
+def test_element_in_use_lists_every_blocker(operation, name, blockers):
+    with pytest.raises(ElementInUse) as exc:
+        operation(pinned_model(), name)
+    assert exc.value.blockers == blockers
+    what = "variation point" if operation is remove_man_vp else "variant"
+    assert str(exc.value) == (
+        f"{what} {name!r} is still referenced by: " + "; ".join(blockers)
+    )

@@ -1,5 +1,6 @@
 """Algebraic invariants of the operation layer, checked property-style."""
 
+import copy
 import dataclasses
 import json
 
@@ -147,9 +148,11 @@ def test_random_sequences_preserve_structure(seeds):
     for seed in seeds:
         rng.seed(seed)
         request = random_model_request(rng)
+        before = copy.deepcopy(model)
         try:
             model = apply_model_request(model, request)
         except OvmRbacError:
+            assert model == before  # a rejected request leaves its input as it was
             continue
         assert check_structure(model) == []
 

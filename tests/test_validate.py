@@ -1,5 +1,7 @@
 """Structural checks over hand-built models the guarded operations forbid."""
 
+import pytest
+
 from ovmrbac import (
     AltGroup,
     Constraint,
@@ -166,3 +168,163 @@ def test_violations_sorted_and_rendered():
     found = validate_model(model)
     assert found == sorted(found)
     assert str(found[0]).count(":") >= 2
+
+
+# --- exact violation texts -------------------------------------------------------
+
+REQUIRES = ConstraintKind.REQUIRES
+EXCLUDES = ConstraintKind.EXCLUDES
+
+
+def points(*pairs):
+    return frozenset(VariationPoint(name, kind) for name, kind in pairs)
+
+
+def variants(names):
+    return frozenset(Variant(name) for name in names)
+
+
+def constraint(kind, source, target):
+    return Constraint(kind, EndpointRef(*source), EndpointRef(*target))
+
+
+# (model, every str(Violation) that validate_model reports, in order); the
+# rows cover each violation code and each owner and universe of a dangling
+# reference.
+VIOLATION_TEXTS = {
+    "vp-kind-overlap": (
+        Model(variation_points=points(("X", MAN), ("X", OPT))),
+        ["vp-kind-overlap: X: listed as both mandatory and optional"],
+    ),
+    "dangling-dependency": (
+        Model(dependencies=frozenset({Dependency("a", "P", MAN)})),
+        [
+            "dangling-reference: a -> P: dependency names unknown variant 'a'",
+            "dangling-reference: a -> P: dependency names unknown variation point 'P'",
+        ],
+    ),
+    "dangling-group": (
+        Model(
+            variants=variants("b"),
+            alt_groups=frozenset({AltGroup(frozenset({"a", "b"}), 1, 1, "P")}),
+        ),
+        [
+            "dangling-reference: group at P: group names unknown variant 'a'",
+            "dangling-reference: group at P: group names unknown variation point 'P'",
+        ],
+    ),
+    "dangling-constraint": (
+        Model(
+            variation_points=points(("P", MAN)),
+            variants=variants("a"),
+            dependencies=frozenset({Dependency("a", "P", OPT)}),
+            constraints=frozenset({
+                constraint(REQUIRES, (V, "a"), (VP, "ghost")),
+                constraint(REQUIRES, (V, "ghost"), (VP, "P")),
+            }),
+        ),
+        [
+            "dangling-reference: constraint requires variant:a -> vp:ghost: "
+            "constraint names unknown vp 'ghost'",
+            "dangling-reference: constraint requires variant:ghost -> vp:P: "
+            "constraint names unknown variant 'ghost'",
+        ],
+    ),
+    "variant-multiply-bound": (
+        Model(
+            variation_points=points(("P", MAN), ("Q", OPT)),
+            variants=variants("abc"),
+            dependencies=frozenset(
+                {Dependency("a", "P", MAN), Dependency("a", "Q", OPT)}
+            ),
+            alt_groups=frozenset({
+                AltGroup(frozenset({"a", "b"}), 1, 1, "P"),
+                AltGroup(frozenset({"b", "c"}), 1, 2, "Q"),
+            }),
+        ),
+        [
+            "variant-multiply-bound: a: bound by 3 variability dependencies",
+            "variant-multiply-bound: b: bound by 2 variability dependencies",
+        ],
+    ),
+    "group-shape": (
+        Model(
+            variation_points=points(("P", MAN)),
+            variants=variants("a"),
+            alt_groups=frozenset({AltGroup(frozenset({"a"}), 2, 1, "P")}),
+        ),
+        [
+            "group-cardinality: group at P: need min <= max <= 1, got (2, 1)",
+            "group-too-small: group at P: fewer than two member variants",
+        ],
+    ),
+    "duplicate-group-target": (
+        Model(
+            variation_points=points(("P", MAN)),
+            variants=variants("abcd"),
+            alt_groups=frozenset({
+                AltGroup(frozenset({"a", "b"}), 1, 1, "P"),
+                AltGroup(frozenset({"c", "d"}), 0, 2, "P"),
+            }),
+        ),
+        [
+            "duplicate-group-target: P: "
+            "more than one alternative group targets this variation point"
+        ],
+    ),
+    "excludes-asymmetry": (
+        Model(
+            variation_points=points(("P", OPT)),
+            variants=variants("a"),
+            dependencies=frozenset({Dependency("a", "P", OPT)}),
+            constraints=frozenset({constraint(EXCLUDES, (VP, "P"), (V, "a"))}),
+        ),
+        [
+            "excludes-asymmetry: constraint excludes vp:P -> variant:a: "
+            "excludes pair present in one direction only"
+        ],
+    ),
+    "constraint-exclusivity": (
+        Model(
+            variation_points=points(("P", MAN)),
+            variants=variants("a"),
+            dependencies=frozenset({Dependency("a", "P", MAN)}),
+            constraints=frozenset({
+                constraint(REQUIRES, (V, "a"), (VP, "P")),
+                constraint(EXCLUDES, (V, "a"), (VP, "P")),
+                constraint(EXCLUDES, (VP, "P"), (V, "a")),
+            }),
+        ),
+        [
+            "constraint-exclusivity: variant:a -> vp:P: "
+            "ordered pair claimed by both requires and excludes"
+        ],
+    ),
+    "self-constraint": (
+        Model(
+            variation_points=points(("P", MAN)),
+            variants=variants("a"),
+            dependencies=frozenset({Dependency("a", "P", MAN)}),
+            constraints=frozenset({constraint(REQUIRES, (V, "a"), (V, "a"))}),
+        ),
+        ["self-constraint: constraint requires variant:a -> variant:a: "
+         "endpoints are identical"],
+    ),
+    "variant-without-dependency": (
+        Model(variants=variants(["z", "a b"])),
+        [
+            "variant-without-dependency: a b: "
+            "variant is not part of any variability dependency",
+            "variant-without-dependency: z: "
+            "variant is not part of any variability dependency",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIOLATION_TEXTS))
+def test_violation_texts(case):
+    model, texts = VIOLATION_TEXTS[case]
+    assert [str(v) for v in validate_model(model)] == texts
+    structural = [t for t in texts if not t.startswith("variant-without-dependency")]
+    assert [str(v) for v in check_structure(model)] == structural
