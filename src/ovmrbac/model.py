@@ -13,13 +13,20 @@ excludes relation is symmetric, and an ordered endpoint pair belongs to at
 most one constraint kind. Completeness (every variant bound to some
 variation point) is intentionally weaker: it is only reported by
 ``validate_model`` so callers can build models element by element.
+
+Four rules are each stated once, and both the guards and the validators use
+them: whether an endpoint exists (``_exists``), which endpoints the relations
+name (``_references``), what binds a variant (``_binding`` for one variant,
+``_binding_counts`` for all), and which kinds of constraint claim an ordered
+pair (``_claims``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     CardinalityInvalid,
@@ -120,13 +127,23 @@ class AltGroup:
     vp: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variants", frozenset(self.variants))
-        for member in self.variants:
-            check_name(member)
+        object.__setattr__(self, "variants", _group_members(self.variants))
         check_name(self.vp)
         for card in (self.min_card, self.max_card):
             if type(card) is not int or card < 0:  # bools are not cardinalities
-                raise CardinalityInvalid("group cardinalities must be natural numbers")
+                raise CardinalityInvalid(_NOT_NATURAL)
+
+
+_NOT_NATURAL = "group cardinalities must be natural numbers"
+
+
+def _group_members(variants: Iterable[str]) -> frozenset[str]:
+    """The members of an alternative group: a collection (not a string) of names."""
+    if isinstance(variants, str) or not hasattr(variants, "__iter__"):
+        raise InvalidName(
+            f"group variants must be a collection of names, got {variants!r}"
+        )
+    return frozenset(map(check_name, variants))
 
 
 @dataclass(frozen=True)
@@ -188,94 +205,122 @@ def new_empty_model() -> Model:
     return Model()
 
 
-# --- internal lookups -------------------------------------------------------
+# --- the four structural rules ---------------------------------------------
+#
+# A guard raises from a rule for the elements its operation touches;
+# check_structure and validate_model report from it over every element. Text
+# is formatted only for what is raised or reported.
 
-def vp_kind(model: Model, name: str) -> VariabilityKind | None:
-    for point in model.variation_points:
-        if point.name == name:
-            return point.kind
-    return None
+_Relation = Dependency | AltGroup | Constraint
+
+_KINDS = tuple(ConstraintKind)
+_NOUNS = {Universe.VARIANT: "variant", Universe.VP: "variation point"}
+# How reports name each kind of relation, and the universes of its endpoints.
+_OWNERS = {
+    Dependency: ("dependency", _NOUNS),
+    AltGroup: ("group", _NOUNS),
+    Constraint: ("constraint", {universe: universe.value for universe in Universe}),
+}
+# Removal blockers: each kind of relation in turn, with its prefix and order.
+_BLOCKERS = (
+    (Dependency, "dependency ", lambda d: (d.variant, d.vp)),
+    (AltGroup, "alternative ", lambda g: g.vp),
+    (Constraint, "", Constraint.sort_key),
+)
 
 
-def vp_names(model: Model, kind: VariabilityKind | None = None) -> frozenset[str]:
-    return frozenset(
-        p.name for p in model.variation_points if kind is None or p.kind == kind
+def _subject(relation: _Relation) -> str:
+    """How reports name a relation."""
+    if type(relation) is Dependency:
+        return f"{relation.variant} -> {relation.vp}"
+    if type(relation) is AltGroup:
+        return f"group at {relation.vp}"
+    return f"constraint {relation.kind.value} {relation.source} -> {relation.target}"
+
+
+def _exists(model: Model, universe: Universe, name: str) -> bool:
+    """Rule 1: ``name`` is a variant, or a variation point of either kind.
+
+    No element carries a name that ``check_name`` refuses.
+    """
+    try:
+        if universe is Universe.VARIANT:
+            return Variant(name) in model.variants
+        points = model.variation_points
+        return (
+            VariationPoint(name, VariabilityKind.MANDATORY) in points
+            or VariationPoint(name, VariabilityKind.OPTIONAL) in points
+        )
+    except InvalidName:
+        return False
+
+
+def _require(model: Model, owner: type, universe: Universe, name: str) -> None:
+    """Rule 1 as a guard, naming the universe as reports about ``owner`` do."""
+    if not _exists(model, universe, name):
+        raise NotFound(f"no {_OWNERS[owner][1][universe]} named {name!r}")
+
+
+def _references(model: Model, universe: Universe) -> Iterator[tuple[str, _Relation]]:
+    """Rule 2: (name, relation) for each endpoint in ``universe`` that a
+    dependency, an alternative group or a constraint names."""
+    if universe is Universe.VARIANT:
+        yield from ((dep.variant, dep) for dep in model.dependencies)
+        yield from ((m, group) for group in model.alt_groups for m in group.variants)
+    else:
+        yield from ((dep.vp, dep) for dep in model.dependencies)
+        yield from ((group.vp, group) for group in model.alt_groups)
+    for constraint in model.constraints:
+        if constraint.source.universe is universe:
+            yield constraint.source.name, constraint
+        if constraint.target.universe is universe:
+            yield constraint.target.name, constraint
+
+
+def _ensure_unreferenced(model: Model, universe: Universe, name: str) -> None:
+    """Rule 2 as a guard: raise ElementInUse listing every relation naming it."""
+    found = {rel for named, rel in _references(model, universe) if named == name}
+    blockers = tuple(
+        prefix + _subject(relation)
+        for owner, prefix, order in _BLOCKERS
+        for relation in sorted((r for r in found if type(r) is owner), key=order)
     )
+    if blockers:
+        what = f"{_NOUNS[universe]} {name!r} is still referenced by: "
+        raise ElementInUse(what + "; ".join(blockers), blockers)
 
 
-def variant_names(model: Model) -> frozenset[str]:
-    return frozenset(v.name for v in model.variants)
-
-
-def dependency_for(model: Model, variant: str) -> Dependency | None:
+def _binding(model: Model, variant: str) -> Dependency | AltGroup | None:
+    """Rule 3: the dependency, or else the alternative group, binding ``variant``."""
     for dep in model.dependencies:
         if dep.variant == variant:
             return dep
-    return None
-
-
-def group_at(model: Model, vp: str) -> AltGroup | None:
-    for group in model.alt_groups:
-        if group.vp == vp:
-            return group
-    return None
-
-
-def group_of(model: Model, variant: str) -> AltGroup | None:
     for group in model.alt_groups:
         if variant in group.variants:
             return group
     return None
 
 
-def endpoint_exists(model: Model, ref: EndpointRef) -> bool:
-    if ref.universe is Universe.VARIANT:
-        return ref.name in variant_names(model)
-    return vp_kind(model, ref.name) is not None
+def _binding_counts(model: Model) -> Counter[str]:
+    """Rule 3 over the whole model: how many relations bind each variant name."""
+    counts = Counter(dep.variant for dep in model.dependencies)
+    for group in model.alt_groups:
+        counts.update(group.variants)
+    return counts
 
 
-def _describe(constraint: Constraint) -> str:
-    return (
-        f"constraint {constraint.kind.value} {constraint.source} -> {constraint.target}"
-    )
-
-
-def _ensure_unreferenced(model: Model, ref: EndpointRef) -> None:
-    """Raise ElementInUse listing every relation that still references ``ref``."""
-    if ref.universe is Universe.VP:
-        what = "variation point"
-        deps = [d for d in model.dependencies if d.vp == ref.name]
-        groups = [g for g in model.alt_groups if g.vp == ref.name]
-    else:
-        what = "variant"
-        deps = [d for d in model.dependencies if d.variant == ref.name]
-        groups = [g for g in model.alt_groups if ref.name in g.variants]
-    constraints = [c for c in model.constraints if ref in (c.source, c.target)]
-    deps.sort(key=lambda d: (d.variant, d.vp))
-    groups.sort(key=lambda g: g.vp)
-    constraints.sort(key=Constraint.sort_key)
-    blockers = [
-        *(f"dependency {d.variant} -> {d.vp}" for d in deps),
-        *(f"alternative group at {g.vp}" for g in groups),
-        *(_describe(c) for c in constraints),
-    ]
-    if blockers:
-        raise ElementInUse(
-            f"{what} {ref.name!r} is still referenced by: " + "; ".join(blockers),
-            tuple(blockers),
-        )
+def _claims(model: Model, a: EndpointRef, b: EndpointRef) -> list[ConstraintKind]:
+    """Rule 4: the kinds of constraint that claim the ordered pair ``a -> b``."""
+    return [k for k in _KINDS if Constraint(k, a, b) in model.constraints]
 
 
 # --- variation points -------------------------------------------------------
 
 def _add_vp(model: Model, name: str, kind: VariabilityKind) -> Model:
-    check_name(name)
-    if vp_kind(model, name) is not None:
+    point = VariationPoint(name, kind)  # an invalid name is refused first
+    if _exists(model, Universe.VP, name):
         raise DuplicateElement(f"variation point {name!r} already exists")
-    return replace(
-        model,
-        variation_points=model.variation_points | {VariationPoint(name, kind)},
-    )
+    return replace(model, variation_points=model.variation_points | {point})
 
 
 def add_man_vp(model: Model, name: str) -> Model:
@@ -289,13 +334,11 @@ def add_opt_vp(model: Model, name: str) -> Model:
 
 
 def _remove_vp(model: Model, name: str, kind: VariabilityKind) -> Model:
-    if name not in vp_names(model, kind):
+    point = VariationPoint(name, kind) if _exists(model, Universe.VP, name) else None
+    if point not in model.variation_points:
         raise NotFound(f"no {kind.value} variation point named {name!r}")
-    _ensure_unreferenced(model, EndpointRef(Universe.VP, name))
-    return replace(
-        model,
-        variation_points=model.variation_points - {VariationPoint(name, kind)},
-    )
+    _ensure_unreferenced(model, Universe.VP, name)
+    return replace(model, variation_points=model.variation_points - {point})
 
 
 def remove_man_vp(model: Model, name: str) -> Model:
@@ -312,16 +355,16 @@ def remove_opt_vp(model: Model, name: str) -> Model:
 
 def add_variant(model: Model, name: str) -> Model:
     """Add a variant. The model may be incomplete until a dependency binds it."""
-    check_name(name)
-    if name in variant_names(model):
+    variant = Variant(name)  # an invalid name is refused first
+    if _exists(model, Universe.VARIANT, name):
         raise DuplicateElement(f"variant {name!r} already exists")
-    return replace(model, variants=model.variants | {Variant(name)})
+    return replace(model, variants=model.variants | {variant})
 
 
 def remove_variant(model: Model, name: str) -> Model:
-    if name not in variant_names(model):
+    if not _exists(model, Universe.VARIANT, name):
         raise NotFound(f"no variant named {name!r}")
-    _ensure_unreferenced(model, EndpointRef(Universe.VARIANT, name))
+    _ensure_unreferenced(model, Universe.VARIANT, name)
     return replace(model, variants=model.variants - {Variant(name)})
 
 
@@ -333,19 +376,16 @@ def add_dependency(
     """Bind a free variant to a variation point, mandatorily or optionally."""
     check_name(variant)
     check_name(vp)
-    if variant not in variant_names(model):
-        raise NotFound(f"no variant named {variant!r}")
-    if vp_kind(model, vp) is None:
-        raise NotFound(f"no variation point named {vp!r}")
-    existing = dependency_for(model, variant)
-    if existing is not None:
+    _require(model, Dependency, Universe.VARIANT, variant)
+    _require(model, Dependency, Universe.VP, vp)
+    bound = _binding(model, variant)
+    if type(bound) is Dependency:
         raise VariantAlreadyBound(
-            f"variant {variant!r} already depends on {existing.vp!r}"
+            f"variant {variant!r} already depends on {bound.vp!r}"
         )
-    group = group_of(model, variant)
-    if group is not None:
+    if bound is not None:
         raise VariantAlreadyBound(
-            f"variant {variant!r} is a member of the group at {group.vp!r}"
+            f"variant {variant!r} is a member of the group at {bound.vp!r}"
         )
     return replace(
         model, dependencies=model.dependencies | {Dependency(variant, vp, kind)}
@@ -369,30 +409,30 @@ def add_alt_group(
     max_card: int,
     vp: str,
 ) -> Model:
-    members = frozenset(variants)
-    for member in members:
-        check_name(member)
+    members = _group_members(variants)
     check_name(vp)
-    missing = sorted(members - variant_names(model))
-    if missing:
-        raise NotFound(f"no variant named {missing[0]!r}")
-    if vp_kind(model, vp) is None:
-        raise NotFound(f"no variation point named {vp!r}")
+    for member in sorted(members):
+        _require(model, AltGroup, Universe.VARIANT, member)
+    _require(model, AltGroup, Universe.VP, vp)
     if len(members) < 2:
         raise CardinalityInvalid("an alternative group needs at least two variants")
-    if min_card < 0 or max_card < 0 or not min_card <= max_card <= len(members):
+    try:
+        fits = 0 <= min_card <= max_card <= len(members)
+    except TypeError:  # not numbers at all
+        raise CardinalityInvalid(_NOT_NATURAL) from None
+    if not fits:
         raise CardinalityInvalid(
             f"need 0 <= min <= max <= {len(members)}, got ({min_card}, {max_card})"
         )
     for member in sorted(members):
-        if dependency_for(model, member) is not None:
+        bound = _binding(model, member)
+        if type(bound) is Dependency:
             raise VariantAlreadyBound(f"variant {member!r} already has a dependency")
-        other = group_of(model, member)
-        if other is not None:
+        if bound is not None:
             raise VariantAlreadyBound(
-                f"variant {member!r} is already in the group at {other.vp!r}"
+                f"variant {member!r} is already in the group at {bound.vp!r}"
             )
-    if group_at(model, vp) is not None:
+    if any(group.vp == vp for group in model.alt_groups):
         raise GroupExists(f"variation point {vp!r} already has an alternative group")
     return replace(
         model,
@@ -402,10 +442,10 @@ def add_alt_group(
 
 def remove_alt_group(model: Model, vp: str) -> Model:
     """Drop the group targeting ``vp``; member variants stay in the model."""
-    group = group_at(model, vp)
-    if group is None:
-        raise NotFound(f"no alternative group at {vp!r}")
-    return replace(model, alt_groups=model.alt_groups - {group})
+    for group in model.alt_groups:
+        if group.vp == vp:
+            return replace(model, alt_groups=model.alt_groups - {group})
+    raise NotFound(f"no alternative group at {vp!r}")
 
 
 # --- constraints --------------------------------------------------------------
@@ -414,24 +454,19 @@ def add_constraint(
     model: Model, kind: ConstraintKind, source: EndpointRef, target: EndpointRef
 ) -> Model:
     """Add a requires edge, or an excludes edge closed in both directions."""
-    if not endpoint_exists(model, source):
-        raise NotFound(f"no {source.universe.value} named {source.name!r}")
-    if not endpoint_exists(model, target):
-        raise NotFound(f"no {target.universe.value} named {target.name!r}")
+    for end in (source, target):
+        _require(model, Constraint, end.universe, end.name)
     if source == target:
         raise SelfConstraint(f"constraint endpoints are identical: {source.name!r}")
-    pairs = {(c.source, c.target) for c in model.constraints}
-    if (source, target) in pairs:
-        raise ConstraintConflict(
-            f"the pair {source.name!r} -> {target.name!r} is already constrained"
-        )
-    added = {Constraint(kind, source, target)}
+    pairs = [(source, target)]
     if kind is ConstraintKind.EXCLUDES:
-        if (target, source) in pairs:
+        pairs.append((target, source))
+    for a, b in pairs:
+        if _claims(model, a, b):
             raise ConstraintConflict(
-                f"the pair {target.name!r} -> {source.name!r} is already constrained"
+                f"the pair {a.name!r} -> {b.name!r} is already constrained"
             )
-        added.add(Constraint(kind, target, source))
+    added = {Constraint(kind, a, b) for a, b in pairs}
     return replace(model, constraints=model.constraints | added)
 
 
@@ -459,131 +494,83 @@ def check_structure(model: Model) -> list[Violation]:
     operations always pass, but hand-built or deserialized models may not.
     """
     found: set[Violation] = set()
+
+    def report(code: str, subject: str, detail: str) -> None:
+        found.add(Violation(code, subject, detail))
+
     man = vp_names(model, VariabilityKind.MANDATORY)
-    opt = vp_names(model, VariabilityKind.OPTIONAL)
-    all_vps = man | opt
-    variants = variant_names(model)
+    for name in man & vp_names(model, VariabilityKind.OPTIONAL):
+        report("vp-kind-overlap", name, "listed as both mandatory and optional")
 
-    for name in man & opt:
-        found.add(
-            Violation(
-                "vp-kind-overlap", name, "listed as both mandatory and optional"
-            )
-        )
+    for universe in Universe:
+        exists: dict[str, bool] = {}  # each name is probed once
+        for name, relation in _references(model, universe):
+            if name not in exists:
+                exists[name] = _exists(model, universe, name)
+            if not exists[name]:
+                owner, nouns = _OWNERS[type(relation)]
+                detail = f"{owner} names unknown {nouns[universe]} {name!r}"
+                report("dangling-reference", _subject(relation), detail)
 
-    def dangling(subject: str, owner: str, what: str, name: str, known) -> None:
-        if name not in known:
-            detail = f"{owner} names unknown {what} {name!r}"
-            found.add(Violation("dangling-reference", subject, detail))
-
-    bindings: dict[str, int] = {}
-    for dep in model.dependencies:
-        subject = f"{dep.variant} -> {dep.vp}"
-        dangling(subject, "dependency", "variant", dep.variant, variants)
-        dangling(subject, "dependency", "variation point", dep.vp, all_vps)
-        bindings[dep.variant] = bindings.get(dep.variant, 0) + 1
-
-    seen_group_vps: set[str] = set()
-    for group in model.alt_groups:
-        label = f"group at {group.vp}"
-        if group.vp in seen_group_vps:
-            found.add(
-                Violation(
-                    "duplicate-group-target",
-                    group.vp,
-                    "more than one alternative group targets this variation point",
-                )
-            )
-        seen_group_vps.add(group.vp)
-        dangling(label, "group", "variation point", group.vp, all_vps)
-        for member in group.variants:
-            dangling(label, "group", "variant", member, variants)
-            bindings[member] = bindings.get(member, 0) + 1
-        if len(group.variants) < 2:
-            found.add(
-                Violation("group-too-small", label, "fewer than two member variants")
-            )
-        if not group.min_card <= group.max_card <= len(group.variants):
-            found.add(
-                Violation(
-                    "group-cardinality",
-                    label,
-                    f"need min <= max <= {len(group.variants)}, "
-                    f"got ({group.min_card}, {group.max_card})",
-                )
-            )
-
-    for name, count in bindings.items():
+    for name, count in _binding_counts(model).items():
         if count > 1:
-            found.add(
-                Violation(
-                    "variant-multiply-bound",
-                    name,
-                    f"bound by {count} variability dependencies",
-                )
-            )
+            detail = f"bound by {count} variability dependencies"
+            report("variant-multiply-bound", name, detail)
 
-    pairs: dict[tuple[EndpointRef, EndpointRef], set[ConstraintKind]] = {}
-    for constraint in model.constraints:
-        label = _describe(constraint)
-        for ref in (constraint.source, constraint.target):
-            known = variants if ref.universe is Universe.VARIANT else all_vps
-            dangling(label, "constraint", ref.universe.value, ref.name, known)
-        if constraint.source == constraint.target:
-            found.add(Violation("self-constraint", label, "endpoints are identical"))
-        pairs.setdefault((constraint.source, constraint.target), set()).add(
-            constraint.kind
-        )
-        if (
-            constraint.kind is ConstraintKind.EXCLUDES
-            and constraint.reversed() not in model.constraints
-        ):
-            found.add(
-                Violation(
-                    "excludes-asymmetry",
-                    label,
-                    "excludes pair present in one direction only",
-                )
-            )
+    targets = Counter(group.vp for group in model.alt_groups)
+    for group in model.alt_groups:
+        label, size = _subject(group), len(group.variants)
+        if targets[group.vp] > 1:
+            detail = "more than one alternative group targets this variation point"
+            report("duplicate-group-target", group.vp, detail)
+        if size < 2:
+            report("group-too-small", label, "fewer than two member variants")
+        if not group.min_card <= group.max_card <= size:
+            cards = f"({group.min_card}, {group.max_card})"
+            detail = f"need min <= max <= {size}, got {cards}"
+            report("group-cardinality", label, detail)
 
-    for (source, target), kinds in pairs.items():
-        if len(kinds) > 1:
-            found.add(
-                Violation(
-                    "constraint-exclusivity",
-                    f"{source} -> {target}",
-                    "ordered pair claimed by both requires and excludes",
-                )
-            )
+    for c in model.constraints:
+        if c.source == c.target:
+            report("self-constraint", _subject(c), "endpoints are identical")
+        if c.kind is ConstraintKind.EXCLUDES and c.reversed() not in model.constraints:
+            detail = "excludes pair present in one direction only"
+            report("excludes-asymmetry", _subject(c), detail)
+        # a pair that both kinds claim holds a requires constraint
+        pair = (c.source, c.target)
+        if c.kind is ConstraintKind.REQUIRES and len(_claims(model, *pair)) > 1:
+            detail = "ordered pair claimed by both requires and excludes"
+            report("constraint-exclusivity", f"{c.source} -> {c.target}", detail)
 
     return sorted(found)
 
 
 def validate_model(model: Model) -> list[Violation]:
     """Full validation: structural invariants plus completeness."""
-    found = set(check_structure(model))
-    bound: set[str] = {dep.variant for dep in model.dependencies}
-    for group in model.alt_groups:
-        bound |= group.variants
-    for name in variant_names(model) - bound:
-        found.add(
-            Violation(
-                "variant-without-dependency",
-                name,
-                "variant is not part of any variability dependency",
-            )
-        )
-    return sorted(found)
+    bound = _binding_counts(model)
+    detail = "variant is not part of any variability dependency"
+    free = [
+        Violation("variant-without-dependency", variant.name, detail)
+        for variant in model.variants
+        if variant.name not in bound
+    ]
+    return sorted(check_structure(model) + free)
 
 
 # --- deterministic queries ------------------------------------------------------
+
+def vp_names(model: Model, kind: VariabilityKind | None = None) -> frozenset[str]:
+    return frozenset(
+        p.name for p in model.variation_points if kind is None or p.kind == kind
+    )
+
 
 def list_vps(model: Model, kind: VariabilityKind | None = None) -> list[str]:
     return sorted(vp_names(model, kind))
 
 
 def list_variants(model: Model) -> list[str]:
-    return sorted(variant_names(model))
+    return sorted(v.name for v in model.variants)
 
 
 def list_dependencies(model: Model) -> list[Dependency]:

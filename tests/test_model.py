@@ -3,6 +3,7 @@
 import pytest
 
 from ovmrbac import (
+    AltGroup,
     CardinalityInvalid,
     ConstraintConflict,
     ConstraintKind,
@@ -571,3 +572,44 @@ def test_element_in_use_lists_every_blocker(operation, name, blockers):
     assert str(exc.value) == (
         f"{what} {name!r} is still referenced by: " + "; ".join(blockers)
     )
+
+
+# Inputs that used to be split into characters or to raise TypeError.
+@pytest.mark.parametrize(
+    "build, error, text",
+    [
+        (lambda m: add_alt_group(m, "ef", 1, 1, "O"), InvalidName,
+         "group variants must be a collection of names, got 'ef'"),
+        (lambda m: add_alt_group(m, 5, 1, 1, "O"), InvalidName,
+         "group variants must be a collection of names, got 5"),
+        (lambda m: add_alt_group(m, None, 1, 1, "O"), InvalidName,
+         "group variants must be a collection of names, got None"),
+        (lambda m: add_alt_group(m, [["e"], "f"], 1, 1, "O"), InvalidName, NON_EMPTY),
+        (lambda m: AltGroup("ef", 1, 1, "O"), InvalidName,
+         "group variants must be a collection of names, got 'ef'"),
+        (lambda m: AltGroup(5, 1, 1, "O"), InvalidName,
+         "group variants must be a collection of names, got 5"),
+        (lambda m: AltGroup(None, 1, 1, "O"), InvalidName,
+         "group variants must be a collection of names, got None"),
+        (lambda m: add_alt_group(m, ["e", "f"], "1", 1, "O"), CardinalityInvalid,
+         NOT_NATURAL),
+        (lambda m: add_alt_group(m, ["e", "f"], 1, None, "O"), CardinalityInvalid,
+         NOT_NATURAL),
+        (lambda m: add_alt_group(m, ["e", "f"], None, None, "O"), CardinalityInvalid,
+         NOT_NATURAL),
+        (lambda m: add_alt_group(m, ["e"], "1", 1, "O"), CardinalityInvalid,
+         "an alternative group needs at least two variants"),
+        (lambda m: add_alt_group(m, ["e", "f"], -1, "1", "O"), CardinalityInvalid,
+         "need 0 <= min <= max <= 2, got (-1, 1)"),
+    ],
+    ids=[
+        "add-string", "add-int", "add-none", "add-unhashable-member",
+        "new-string", "new-int", "new-none",
+        "str-min", "none-max", "none-both", "size-before-type", "negative-before-type",
+    ],
+)
+def test_alt_group_refuses_malformed_inputs(build, error, text):
+    with pytest.raises(OvmRbacError) as exc:
+        build(pinned_model())
+    assert type(exc.value) is error
+    assert str(exc.value) == text
