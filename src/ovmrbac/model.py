@@ -16,9 +16,12 @@ variation point) is intentionally weaker: it is only reported by
 
 Four rules are each stated once, and both the guards and the validators use
 them: whether an endpoint exists (``_exists``), which endpoints the relations
-name (``_references``), what binds a variant (``_binding`` for one variant,
+name (``references``), what binds a variant (``_binding`` for one variant,
 ``_binding_counts`` for all), and which kinds of constraint claim an ordered
-pair (``_claims``).
+pair (``_claims``). Other modules call this module's rules instead of restating
+them: ``references`` (what a view carries along), ``group_members`` (request
+arguments), ``dependency_between`` (the kind a removal request targets) and
+each component's order, ``sort_key`` or ``list_*`` (documents and DOT text).
 """
 
 from __future__ import annotations
@@ -89,6 +92,9 @@ class VariationPoint:
     def __post_init__(self) -> None:
         check_name(self.name)
 
+    def sort_key(self) -> tuple[str, str]:
+        return (self.name, self.kind.value)
+
 
 @dataclass(frozen=True)
 class Variant:
@@ -110,6 +116,9 @@ class Dependency:
         check_name(self.variant)
         check_name(self.vp)
 
+    def sort_key(self) -> tuple[str, str, str]:
+        return (self.variant, self.vp, self.kind.value)
+
 
 @dataclass(frozen=True)
 class AltGroup:
@@ -127,17 +136,20 @@ class AltGroup:
     vp: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variants", _group_members(self.variants))
+        object.__setattr__(self, "variants", group_members(self.variants))
         check_name(self.vp)
         for card in (self.min_card, self.max_card):
             if type(card) is not int or card < 0:  # bools are not cardinalities
                 raise CardinalityInvalid(_NOT_NATURAL)
 
+    def sort_key(self) -> tuple[str, list[str], int, int]:
+        return (self.vp, sorted(self.variants), self.min_card, self.max_card)
+
 
 _NOT_NATURAL = "group cardinalities must be natural numbers"
 
 
-def _group_members(variants: Iterable[str]) -> frozenset[str]:
+def group_members(variants: Iterable[str]) -> frozenset[str]:
     """The members of an alternative group: a collection (not a string) of names."""
     if isinstance(variants, str) or not hasattr(variants, "__iter__"):
         raise InvalidName(
@@ -214,6 +226,7 @@ def new_empty_model() -> Model:
 _Relation = Dependency | AltGroup | Constraint
 
 _KINDS = tuple(ConstraintKind)
+_VARIABILITY = tuple(VariabilityKind)
 _NOUNS = {Universe.VARIANT: "variant", Universe.VP: "variation point"}
 # How reports name each kind of relation, and the universes of its endpoints.
 _OWNERS = {
@@ -221,12 +234,8 @@ _OWNERS = {
     AltGroup: ("group", _NOUNS),
     Constraint: ("constraint", {universe: universe.value for universe in Universe}),
 }
-# Removal blockers: each kind of relation in turn, with its prefix and order.
-_BLOCKERS = (
-    (Dependency, "dependency ", lambda d: (d.variant, d.vp)),
-    (AltGroup, "alternative ", lambda g: g.vp),
-    (Constraint, "", Constraint.sort_key),
-)
+# Removal blockers: each kind of relation in turn, with its prefix.
+_BLOCKERS = ((Dependency, "dependency "), (AltGroup, "alternative "), (Constraint, ""))
 
 
 def _subject(relation: _Relation) -> str:
@@ -261,7 +270,7 @@ def _require(model: Model, owner: type, universe: Universe, name: str) -> None:
         raise NotFound(f"no {_OWNERS[owner][1][universe]} named {name!r}")
 
 
-def _references(model: Model, universe: Universe) -> Iterator[tuple[str, _Relation]]:
+def references(model: Model, universe: Universe) -> Iterator[tuple[str, _Relation]]:
     """Rule 2: (name, relation) for each endpoint in ``universe`` that a
     dependency, an alternative group or a constraint names."""
     if universe is Universe.VARIANT:
@@ -279,11 +288,11 @@ def _references(model: Model, universe: Universe) -> Iterator[tuple[str, _Relati
 
 def _ensure_unreferenced(model: Model, universe: Universe, name: str) -> None:
     """Rule 2 as a guard: raise ElementInUse listing every relation naming it."""
-    found = {rel for named, rel in _references(model, universe) if named == name}
+    found = {rel for named, rel in references(model, universe) if named == name}
     blockers = tuple(
-        prefix + _subject(relation)
-        for owner, prefix, order in _BLOCKERS
-        for relation in sorted((r for r in found if type(r) is owner), key=order)
+        prefix + _subject(rel)
+        for owner, prefix in _BLOCKERS
+        for rel in sorted((r for r in found if type(r) is owner), key=owner.sort_key)
     )
     if blockers:
         what = f"{_NOUNS[universe]} {name!r} is still referenced by: "
@@ -392,12 +401,23 @@ def add_dependency(
     )
 
 
+def dependency_between(model: Model, variant: str, vp: str) -> Dependency | None:
+    """The dependency from ``variant`` to ``vp``: a probe of each kind in turn."""
+    try:
+        for kind in _VARIABILITY:
+            if (dep := Dependency(variant, vp, kind)) in model.dependencies:
+                return dep
+    except InvalidName:  # no dependency carries a name that check_name refuses
+        pass
+    return None
+
+
 def remove_dependency(model: Model, variant: str, vp: str) -> Model:
     """Drop the dependency between the two endpoints; the variant stays."""
-    for dep in model.dependencies:
-        if dep.variant == variant and dep.vp == vp:
-            return replace(model, dependencies=model.dependencies - {dep})
-    raise NotFound(f"no dependency {variant!r} -> {vp!r}")
+    dep = dependency_between(model, variant, vp)
+    if dep is None:
+        raise NotFound(f"no dependency {variant!r} -> {vp!r}")
+    return replace(model, dependencies=model.dependencies - {dep})
 
 
 # --- alternative groups ------------------------------------------------------
@@ -409,7 +429,7 @@ def add_alt_group(
     max_card: int,
     vp: str,
 ) -> Model:
-    members = _group_members(variants)
+    members = group_members(variants)
     check_name(vp)
     for member in sorted(members):
         _require(model, AltGroup, Universe.VARIANT, member)
@@ -422,7 +442,7 @@ def add_alt_group(
         raise CardinalityInvalid(_NOT_NATURAL) from None
     if not fits:
         raise CardinalityInvalid(
-            f"need 0 <= min <= max <= {len(members)}, got ({min_card}, {max_card})"
+            f"need 0 <= min <= max <= {len(members)}, got ({min_card!r}, {max_card!r})"
         )
     for member in sorted(members):
         bound = _binding(model, member)
@@ -504,7 +524,7 @@ def check_structure(model: Model) -> list[Violation]:
 
     for universe in Universe:
         exists: dict[str, bool] = {}  # each name is probed once
-        for name, relation in _references(model, universe):
+        for name, relation in references(model, universe):
             if name not in exists:
                 exists[name] = _exists(model, universe, name)
             if not exists[name]:
@@ -574,11 +594,11 @@ def list_variants(model: Model) -> list[str]:
 
 
 def list_dependencies(model: Model) -> list[Dependency]:
-    return sorted(model.dependencies, key=lambda d: (d.variant, d.vp, d.kind.value))
+    return sorted(model.dependencies, key=Dependency.sort_key)
 
 
 def list_alt_groups(model: Model) -> list[AltGroup]:
-    return sorted(model.alt_groups, key=lambda g: (g.vp, sorted(g.variants)))
+    return sorted(model.alt_groups, key=AltGroup.sort_key)
 
 
 def list_constraints(

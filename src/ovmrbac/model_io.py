@@ -1,10 +1,10 @@
 """Deterministic JSON persistence for models and policies, plus DOT export.
 
-Documents are UTF-8 JSON with sorted keys and sorted list entries, so saving
-the same value always yields the same bytes. Loading validates structure:
-a document that parses but violates a structural invariant is rejected with
-StructuralViolation naming the invariant. Excludes constraints are stored
-once per unordered pair and re-closed to both directions on load.
+Documents are UTF-8 JSON with sorted keys; their lists and DOT text follow
+each component's order in ``model``, so equal values give equal bytes.
+Loading rejects a document that parses but violates a structural invariant
+with StructuralViolation naming it. Excludes constraints are stored once per
+unordered pair and re-closed to both directions on load.
 """
 
 from __future__ import annotations
@@ -36,32 +36,21 @@ def _endpoint_to_json(ref: EndpointRef) -> dict[str, str]:
     return {"universe": ref.universe.value, "name": ref.name}
 
 
-def _canonical_excludes(constraint: Constraint) -> Constraint:
-    reverse = constraint.reversed()
-    if reverse.sort_key() < constraint.sort_key():
-        return reverse
-    return constraint
-
-
 def _stored_constraints(constraints: frozenset[Constraint]) -> list[Constraint]:
     """Sorted constraints, each excludes pair once in its canonical direction."""
-    stored: list[Constraint] = []
-    seen: set[Constraint] = set()
-    for constraint in sorted(constraints, key=Constraint.sort_key):
-        if constraint.kind is ConstraintKind.EXCLUDES:
-            constraint = _canonical_excludes(constraint)
-            if constraint in seen:
-                continue
-            seen.add(constraint)
-        stored.append(constraint)
-    return stored
+    stored = {
+        min(c, c.reversed(), key=Constraint.sort_key)
+        if c.kind is ConstraintKind.EXCLUDES else c
+        for c in constraints
+    }
+    return sorted(stored, key=Constraint.sort_key)
 
 
 def model_to_document(model: Model) -> dict[str, Any]:
     return {
         "variation_points": [
             {"name": point.name, "kind": point.kind.value}
-            for point in sorted(model.variation_points, key=lambda p: (p.name, p.kind.value))
+            for point in sorted(model.variation_points, key=VariationPoint.sort_key)
         ],
         "variants": list_variants(model),
         "dependencies": [
@@ -295,20 +284,20 @@ def export_dot(model: Model, view: Model | None = None) -> str:
     stubs = getattr(shown, "vp_stubs", frozenset())
 
     lines = ["digraph ovm {"]
-    for point in sorted(shown.variation_points, key=lambda p: p.name):
+    for point in sorted(shown.variation_points, key=VariationPoint.sort_key):
         lines.append(_vp_node(point.name, point.kind))
     for name in sorted(stubs):
         lines.append(_vp_node(name, None, stub=True))
-    for variant in sorted(shown.variants, key=lambda v: v.name):
-        lines.append(_variant_node(variant.name))
+    for name in list_variants(shown):
+        lines.append(_variant_node(name))
 
-    for dep in sorted(shown.dependencies, key=lambda d: (d.variant, d.vp)):
+    for dep in list_dependencies(shown):
         style = "solid" if dep.kind is VariabilityKind.MANDATORY else "dashed"
         lines.append(
             f"  {_quote('variant:' + dep.variant)} -> {_quote('vp:' + dep.vp)} "
             f"[style={style}];"
         )
-    for group in sorted(shown.alt_groups, key=lambda g: g.vp):
+    for group in list_alt_groups(shown):
         label = f"[{group.min_card}..{group.max_card}]"
         for member in sorted(group.variants):
             lines.append(

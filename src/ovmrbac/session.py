@@ -71,12 +71,6 @@ class ArgKind(NamedTuple):
     parse: Callable[[str], object] = str
 
 
-def _name_set(value) -> frozenset[str]:
-    if isinstance(value, str) or not hasattr(value, "__iter__"):
-        raise ValueError(f"expected a collection of names, got {value!r}")
-    return frozenset(map(ovm.check_name, value))
-
-
 def _integer(value) -> int:
     if not isinstance(value, int):
         raise ValueError("group cardinalities must be integers")
@@ -100,7 +94,7 @@ def _endpoint(text: str) -> EndpointRef:
 
 
 NAME = ArgKind("NAME", ovm.check_name)
-NAMES = ArgKind("VARIANT VARIANT...", _name_set, frozenset)  # a list on the command line
+NAMES = ArgKind("VARIANT VARIANT...", ovm.group_members, frozenset)  # a list in argv
 INT = ArgKind("INT", _integer, int)
 VARIABILITY = _value_kind("mandatory|optional", VariabilityKind, VariabilityKind)
 CONSTRAINT_KIND = _value_kind("requires|excludes", ConstraintKind, ConstraintKind)
@@ -145,10 +139,8 @@ def _add_dependency(args: tuple, model: Model) -> tuple[str, ObjectId]:
 
 def _remove_dependency(args: tuple, model: Model) -> tuple[str, ObjectId]:
     # the kind of the dependency removed; a missing one counts as optional
-    kind = next(
-        (d.kind for d in model.dependencies if (d.variant, d.vp) == args),
-        VariabilityKind.OPTIONAL,
-    )
+    dep = ovm.dependency_between(model, *args)
+    kind = dep.kind if dep else VariabilityKind.OPTIONAL
     return KIND_OBJECTS[kind].dep_write, dependency_object(*args)
 
 
@@ -317,25 +309,20 @@ def execute(session: Session, request: OpRequest) -> Outcome:
 
 @dataclass(frozen=True)
 class OperationFilter:
-    """Keeps permissions whose operation matches: any, read-like, or exact."""
+    """Keeps permissions whose operation is in ``operations``; None keeps all."""
 
-    mode: str  # "any" | "read" | "exact"
-    operation: str | None = None
+    operations: frozenset[str] | None = None
 
     def allows(self, operation: str) -> bool:
-        if self.mode == "any":
-            return True
-        if self.mode == "read":
-            return operation in READ_LIKE_OPERATIONS
-        return operation == self.operation
+        return self.operations is None or operation in self.operations
 
 
-ANY_OPERATION = OperationFilter("any")
-READ_LIKE = OperationFilter("read")
+ANY_OPERATION = OperationFilter()
+READ_LIKE = OperationFilter(READ_LIKE_OPERATIONS)
 
 
 def exact_operation(operation: str) -> OperationFilter:
-    return OperationFilter("exact", operation)
+    return OperationFilter(frozenset({operation}))
 
 
 @dataclass(frozen=True)
@@ -384,29 +371,21 @@ def _build_view(
 
     # Visible relations carry their variant endpoints along; variation-point
     # endpoints that no permission admits become stubs with the kind hidden.
-    referenced_vps: set[str] = set()
-    for dep in shown[Dependency]:
-        admit(Variant(dep.variant), provenance[element_text(dep)])
-        referenced_vps.add(dep.vp)
-    for group in shown[AltGroup]:
-        perms = provenance[element_text(group)]
-        for member in group.variants:
-            admit(Variant(member), perms)
-        referenced_vps.add(group.vp)
-    for c in shown[Constraint]:
-        perms = provenance[element_text(c)]
-        for ref in (c.source, c.target):
-            if ref.universe is Universe.VARIANT:
-                admit(Variant(ref.name), perms)
-            else:
-                referenced_vps.add(ref.name)
+    relations = Model(
+        dependencies=frozenset(shown[Dependency]),
+        alt_groups=frozenset(shown[AltGroup]),
+        constraints=frozenset(shown[Constraint]),
+    )
+    for name, relation in ovm.references(relations, Universe.VARIANT):
+        admit(Variant(name), provenance[element_text(relation)])
+    referenced_vps = {name for name, _ in ovm.references(relations, Universe.VP)}
 
     return ViewModel(
         variation_points=frozenset(shown[VariationPoint]),
         variants=frozenset(shown[Variant]),
-        dependencies=frozenset(shown[Dependency]),
-        alt_groups=frozenset(shown[AltGroup]),
-        constraints=frozenset(shown[Constraint]),
+        dependencies=relations.dependencies,
+        alt_groups=relations.alt_groups,
+        constraints=relations.constraints,
         vp_stubs=frozenset(referenced_vps - {p.name for p in shown[VariationPoint]}),
         provenance={k: frozenset(v) for k, v in provenance.items()},
     )

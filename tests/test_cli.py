@@ -1,12 +1,23 @@
 """The CLI is a thin adapter: outputs and exit codes mirror the library."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import stat
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ovmrbac import save_model, save_policy
 from ovmrbac.cli import main
+from ovmrbac.fixture import build_example_model, build_example_policy
+from ovmrbac.rbac import OPERATION_CATALOG
+from ovmrbac.session import OPERATIONS
 
 
 @pytest.fixture()
@@ -329,3 +340,245 @@ class TestRender:
         assert code == 0
         assert out.count("shape=triangle") == 8
         assert out.count('label="excludes"') == 1
+
+
+FIXTURE_ROLES = ("Grid Node Expert", "Image Expert", "Security Expert")
+FIXTURE_USERS = ("Alice", "Bob", "Helen")
+
+# SHA-256 of what the CLI writes and prints for the bundled fixture.
+PINNED_DIGESTS = {
+    "init-example model.json":
+        "ded28c182b6aa467af6359310f26526626478a77f2824d5b72f6de15a91cfe75",
+    "init-example policy.json":
+        "f87dcdf5d0517172f3d74d50c4561ce5ff3d27ffec474ffba68dea0bc6f8005e",
+    "render stdout":
+        "0edb280c57e0cd8bc54ae6830761400e846d75f3d7ab85061a427c30059d980f",
+    "validate stdout":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "view --role Grid Node Expert --filter any stdout":
+        "b5e8ec143cc48ecab56c21f18c962f75e6bb4ce44facd777c816698bb1197f41",
+    "view --role Grid Node Expert --filter any dot":
+        "0edb280c57e0cd8bc54ae6830761400e846d75f3d7ab85061a427c30059d980f",
+    "view --role Grid Node Expert --filter read stdout":
+        "8f7dd75dad46757110848726beea07a6c3f90fc11e3b8b0971c0e1c8c4fad9b5",
+    "view --role Grid Node Expert --filter read dot":
+        "0edb280c57e0cd8bc54ae6830761400e846d75f3d7ab85061a427c30059d980f",
+    "view --role Image Expert --filter any stdout":
+        "015e28634b779adb057cf379edbf8b10c93c237f8a2ea6c3218e0444fcf9eec6",
+    "view --role Image Expert --filter any dot":
+        "04327482d1baeb3c7fd6a72e8ff456a3d7edbb1fa74a3fa935002654fa98e62e",
+    "view --role Image Expert --filter read stdout":
+        "520cf15d1c782b391512822aca6cb5d4a831ed9e3af24c87608b20917a887e8d",
+    "view --role Image Expert --filter read dot":
+        "04327482d1baeb3c7fd6a72e8ff456a3d7edbb1fa74a3fa935002654fa98e62e",
+    "view --role Security Expert --filter any stdout":
+        "1a824ed6fa994acba60a276e033ef758ec4f5980d6e665a615fda8a167936bb2",
+    "view --role Security Expert --filter any dot":
+        "58a8fb9f2a2fe29ab8c8362ba2dfd073fd203769a2e92e5057d0a7158c379433",
+    "view --role Security Expert --filter read stdout":
+        "f7ac6b550a587162a48909051edff87d1cc6973bff3848ede8e82be8fa05ec9b",
+    "view --role Security Expert --filter read dot":
+        "58a8fb9f2a2fe29ab8c8362ba2dfd073fd203769a2e92e5057d0a7158c379433",
+    "view --user Alice --filter any stdout":
+        "9da5fc283659a5d6e720a489e4b6ec662b1ad79a680a0af81279f3c74adc8b69",
+    "view --user Alice --filter any dot":
+        "0edb280c57e0cd8bc54ae6830761400e846d75f3d7ab85061a427c30059d980f",
+    "view --user Alice --filter read stdout":
+        "ad390c3465580e72c6b87edeba7487bb47d80394d022a24b0773204def1a5def",
+    "view --user Alice --filter read dot":
+        "0edb280c57e0cd8bc54ae6830761400e846d75f3d7ab85061a427c30059d980f",
+    "view --user Bob --filter any stdout":
+        "c052109a35897ba9cec35fb7c2ac0b38a1366dda0c109b9245af1dec8c09bf6a",
+    "view --user Bob --filter any dot":
+        "58a8fb9f2a2fe29ab8c8362ba2dfd073fd203769a2e92e5057d0a7158c379433",
+    "view --user Bob --filter read stdout":
+        "77d14b189dadec799f05a25b72d3ad19bbd9668953ac3d97269adf3d8a935316",
+    "view --user Bob --filter read dot":
+        "58a8fb9f2a2fe29ab8c8362ba2dfd073fd203769a2e92e5057d0a7158c379433",
+    "view --user Helen --filter any stdout":
+        "4980630ab2ba89f9b4fd59661e222cfe4c2e8a12f9e463c34d7ce8c31dfd59c3",
+    "view --user Helen --filter any dot":
+        "04327482d1baeb3c7fd6a72e8ff456a3d7edbb1fa74a3fa935002654fa98e62e",
+    "view --user Helen --filter read stdout":
+        "7d518bf030850d625c3878d461edead58ae091f2476bf91e34bf3f23210576c3",
+    "view --user Helen --filter read dot":
+        "04327482d1baeb3c7fd6a72e8ff456a3d7edbb1fa74a3fa935002654fa98e62e",
+}
+
+
+def fixture_outputs(directory, capsys):
+    """The bytes of every pinned output, keyed by a label naming the command."""
+    outputs = {}
+    assert main(["init-example", str(directory)]) == 0
+    capsys.readouterr()
+    model, policy = str(directory / "model.json"), str(directory / "policy.json")
+    outputs["init-example model.json"] = (directory / "model.json").read_bytes()
+    outputs["init-example policy.json"] = (directory / "policy.json").read_bytes()
+    for command in ("render", "validate"):
+        code, out, _ = run(capsys, command, model)
+        assert code == 0
+        outputs[f"{command} stdout"] = out.encode()
+    subjects = [("--role", r) for r in FIXTURE_ROLES]
+    subjects += [("--user", u) for u in FIXTURE_USERS]
+    dot = directory / "view.dot"
+    for flag, subject in subjects:
+        for view_filter in ("any", "read"):
+            label = f"view {flag} {subject} --filter {view_filter}"
+            code, out, _ = run(
+                capsys, "view", model, policy, flag, subject,
+                "--filter", view_filter, "--dot", str(dot),
+            )
+            assert code == 0
+            outputs[f"{label} stdout"] = out.encode()
+            outputs[f"{label} dot"] = dot.read_bytes()
+    return outputs
+
+
+def test_fixture_outputs_are_pinned(tmp_path, capsys):
+    digests = {
+        label: hashlib.sha256(data).hexdigest()
+        for label, data in fixture_outputs(tmp_path, capsys).items()
+    }
+    assert digests == PINNED_DIGESTS
+
+
+# --- property: every command line ends in a bounded outcome -----------------
+
+_FIXTURE_DOCUMENTS = {
+    "model.json": save_model(build_example_model()),
+    "policy.json": save_policy(build_example_policy()),
+}
+_DOCUMENTS = ("MODEL", "POLICY", "MISSING", "DIR")
+_USERS = (*FIXTURE_USERS, *FIXTURE_USERS, "Mallory", " ")  # mostly known
+_ROLES = (*FIXTURE_ROLES, "Nobody", "")
+_RBAC_OPS = (*OPERATION_CATALOG, "noSuchOp")
+_OBJECTS = (
+    "set:OBJECTS", "set:MAN_VP", "set:VARIANT", "set:NOPE", "vp:OS VP",
+    "vp:Nowhere", "variant:Linux", "dep:Linux->OS VP", "altgroup:CPU VP",
+    "constraint:excludes:variant:Matlab:variant:Sc.Linux", "garbage", "",
+)
+_NAMES = (
+    "OS VP", "CPU VP", "Authentication VP", "Linux", "Windows", "x32", "x64",
+    "Kerberos", "Password", "New", " New", "a:b", "",
+)
+# command-line words for each argument kind, by its usage label
+_WORDS = {
+    "NAME": _NAMES,
+    "INT": ("0", "1", "2", "-1", "x"),
+    "mandatory|optional": ("mandatory", "optional", "requires"),
+    "requires|excludes": ("requires", "excludes", "optional"),
+    "variant:NAME|vp:NAME": (
+        "variant:Linux", "variant:x32", "vp:OS VP", "vp:New", "variant:", "nope:x",
+    ),
+}
+_ARGS = tuple(word for words in _WORDS.values() for word in words)
+_FILTERS = ("any", "read", "op:read", "op:writeAltGroup", "op:", "bogus")
+_TOKENS = (*_DOCUMENTS, *_USERS, *_ROLES, *_RBAC_OPS, *_OBJECTS, *_ARGS, "--op")
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line drawn from the CLI's vocabulary, sometimes malformed.
+
+    Upper-case placeholders stand for paths in the run's directory.
+    """
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    def document(expected):  # mostly the document the command expects
+        return pick((expected,) * 8 + _DOCUMENTS)
+
+    command = pick(
+        ("init-example", "validate", "render", "apply", "grant", "assign",
+         "check", "view")
+    )
+    if command == "init-example":
+        argv = [command, pick(("DIR", "DIR/sub"))] + pick(([], ["--explain"]))
+    elif command in ("validate", "render"):
+        argv = [command, document("MODEL")]
+    elif command == "apply":
+        op = pick((*OPERATIONS, "noSuchOp"))
+        if op == "addAltGroup":
+            members = draw(st.lists(st.sampled_from(_NAMES), max_size=3))
+            args = [pick(_NAMES), pick(_WORDS["INT"]), pick(_WORDS["INT"]), *members]
+        elif op in OPERATIONS and pick(("by kind", "by kind", "any")) == "by kind":
+            args = [pick(_WORDS[kind.label]) for kind in OPERATIONS[op].params]
+        else:
+            args = draw(st.lists(st.sampled_from(_ARGS), max_size=4))
+        argv = [command, document("MODEL"), document("POLICY"), "--user",
+                pick(_USERS), "--op", op, *args]
+    elif command == "grant":
+        objects = draw(st.lists(st.sampled_from(_OBJECTS), min_size=1, max_size=3))
+        argv = [command, document("POLICY"), "--objects", *objects,
+                "--op", pick(_RBAC_OPS), "--role", pick(_ROLES)]
+    elif command == "assign":
+        argv = [command, document("POLICY"), "--user", pick(_USERS),
+                "--role", pick(_ROLES)]
+    elif command == "check":
+        argv = [command, document("MODEL"), document("POLICY"), "--user",
+                pick(_USERS), "--op", pick(_RBAC_OPS), "--object", pick(_OBJECTS)]
+    else:
+        subject = pick((["--role", pick(_ROLES)], ["--user", pick(_USERS)]))
+        argv = [command, document("MODEL"), document("POLICY"), *subject,
+                *pick(([], ["--filter", pick(_FILTERS)])),
+                *pick(([], ["--dot", pick(("DOT", "DIR"))]))]
+    change = pick(("none", "none", "none", "drop", "insert"))
+    if change == "drop":  # a word after the command goes missing
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    elif change == "insert":
+        argv.insert(draw(st.integers(0, len(argv))), pick(_TOKENS))
+    return argv
+
+
+def _explains_exit_one(command, out, err):
+    """Exit 1 means a Deny, violations found, or a role without permissions."""
+    return (
+        (command == "check" and out == "Deny\n")
+        or (command == "apply" and out.endswith(" decision=deny outcome=denied\n"))
+        or (command == "validate" and out != "")
+        or (command == "view" and err.endswith("has no permissions assigned\n"))
+    )
+
+
+def _main_outcome(argv):
+    """main's return code, or None when argparse refuses the command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            code = None
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(cli_argv(), min_size=1, max_size=3))
+def test_every_command_line_ends_in_a_bounded_outcome(commands):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for name, text in _FIXTURE_DOCUMENTS.items():
+            (directory / name).write_text(text, encoding="utf-8")
+        paths = {
+            "MODEL": directory / "model.json",
+            "POLICY": directory / "policy.json",
+            "MISSING": directory / "missing.json",
+            "DIR": directory,
+            "DIR/sub": directory / "sub",
+            "DOT": directory / "view.dot",
+        }
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a stray positional path lands in the run's directory
+        try:
+            for argv in commands:
+                argv = [str(paths.get(token, token)) for token in argv]
+                before = [paths[key].read_bytes() for key in ("MODEL", "POLICY")]
+                code, out, err = _main_outcome(argv)
+                assert code in (None, 0, 1, 2, 3), argv
+                if code == 1:
+                    assert _explains_exit_one(argv[0], out, err), (argv, out, err)
+                if code != 0:
+                    after = [paths[key].read_bytes() for key in ("MODEL", "POLICY")]
+                    assert after == before, argv
+        finally:
+            os.chdir(cwd)

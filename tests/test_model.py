@@ -600,7 +600,7 @@ def test_element_in_use_lists_every_blocker(operation, name, blockers):
         (lambda m: add_alt_group(m, ["e"], "1", 1, "O"), CardinalityInvalid,
          "an alternative group needs at least two variants"),
         (lambda m: add_alt_group(m, ["e", "f"], -1, "1", "O"), CardinalityInvalid,
-         "need 0 <= min <= max <= 2, got (-1, 1)"),
+         "need 0 <= min <= max <= 2, got (-1, '1')"),
     ],
     ids=[
         "add-string", "add-int", "add-none", "add-unhashable-member",

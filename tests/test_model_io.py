@@ -1,9 +1,14 @@
 """Document round-trips, determinism, rejection cases, and DOT export."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ovmrbac
 from ovmrbac import (
     ConstraintKind,
     OvmRbacError,
@@ -251,3 +256,43 @@ class TestDotExport:
         model = add_man_vp(new_empty_model(), 'He said "hi" VP')
         dot = export_dot(model)
         assert '\\"hi\\"' in dot
+
+
+# Builds, in a fresh interpreter, one model whose components tie on every key
+# short of the whole element: a variation point of both kinds, a dependency of
+# both kinds, and two groups that differ only in cardinality. Prints the
+# SHA-256 of its document and of its DOT text.
+_TIES_SCRIPT = """
+import hashlib
+from ovmrbac import (
+    AltGroup, Dependency, Model, VariabilityKind, VariationPoint, Variant,
+    export_dot, save_model,
+)
+MAN, OPT = VariabilityKind.MANDATORY, VariabilityKind.OPTIONAL
+model = Model(
+    variation_points=frozenset({VariationPoint("X", MAN), VariationPoint("X", OPT)}),
+    variants=frozenset({Variant("a"), Variant("b"), Variant("c")}),
+    dependencies=frozenset({Dependency("a", "X", MAN), Dependency("a", "X", OPT)}),
+    alt_groups=frozenset({
+        AltGroup(frozenset({"b", "c"}), 1, 1, "X"),
+        AltGroup(frozenset({"b", "c"}), 1, 2, "X"),
+    }),
+)
+for text in (save_model(model), export_dot(model)):
+    print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_equal_values_give_equal_bytes_under_every_hash_seed():
+    """Document and DOT order do not fall back on frozenset iteration order."""
+    src = Path(ovmrbac.__file__).resolve().parent.parent
+    runs = []
+    for seed in range(1, 5):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", _TIES_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        runs.append(result.stdout.split())
+    assert len({document for document, _ in runs}) == 1
+    assert len({dot for _, dot in runs}) == 1

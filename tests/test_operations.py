@@ -97,9 +97,9 @@ BAD_ARGS = [
     ("addManVP", (name for name in ["a"]), ValueError),
     ("addManVP", None, ValueError),
     # a string is not a set of names, nor is a non-iterable
-    ("addAltGroup", ("ab", 1, 1, "P"), ValueError),
-    ("addAltGroup", (5, 1, 1, "P"), ValueError),
-    ("addAltGroup", (None, 1, 1, "P"), ValueError),
+    ("addAltGroup", ("ab", 1, 1, "P"), InvalidName),
+    ("addAltGroup", (5, 1, 1, "P"), InvalidName),
+    ("addAltGroup", (None, 1, 1, "P"), InvalidName),
 ]
 
 _CONSTRAINT_USAGE = "requires|excludes variant:NAME|vp:NAME variant:NAME|vp:NAME"
