@@ -1,7 +1,8 @@
 """Command-line front end: validate, apply, grant, assign, check, view, render.
 
-Exit codes: 0 success (or Allow), 1 Deny / violations found / empty view,
-2 usage, parse, or I/O error, 3 operation rejected by a model precondition.
+Exit codes: 0 success (or Allow), 1 Deny / violations found / a role with no
+permissions, 2 usage, parse, or I/O error (a closed stdout too), 3 operation
+rejected by a model precondition.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     session = Session(user=args.user, model=model, policy=policy)
     outcome = execute(session, request)
-    print(session.log[-1].render())
+    # Flushed before the write, so a closed stdout leaves the model unchanged.
+    print(session.log[-1].render(), flush=True)
     if outcome.status is OutcomeStatus.DENIED:
         return EXIT_DENIED
     if outcome.status is OutcomeStatus.REJECTED:
@@ -302,9 +304,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except OvmRbacError as exc:
         return _fail(str(exc))
+    except BrokenPipeError as exc:
+        # Point stdout at the null device, so the flush at exit has nothing
+        # to write to the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _fail(f"cannot write to standard output: {exc.strerror}")
 
 
 if __name__ == "__main__":

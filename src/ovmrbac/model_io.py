@@ -252,23 +252,28 @@ def load_policy(text: str) -> Policy:
 # --- DOT export -------------------------------------------------------------
 
 
+def _escape(text: str) -> str:
+    """Text for inside a DOT quoted string, backslashes and quotes escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _quote(identifier: str) -> str:
-    escaped = identifier.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return f'"{_escape(identifier)}"'
 
 
-def _vp_node(name: str, kind: VariabilityKind | None, stub: bool = False) -> str:
-    attrs = [f'label="VP\\n{name}"', "shape=triangle"]
+def _vp_node(name: str, kind: VariabilityKind | None) -> str:
+    """A variation point's node; a stub, whose kind is hidden, is grey."""
+    attrs = [f'label="VP\\n{_escape(name)}"', "shape=triangle"]
     if kind is VariabilityKind.OPTIONAL:
         attrs.append("style=dashed")
-    if stub:
+    if kind is None:
         attrs.append("color=gray")
         attrs.append("fontcolor=gray")
     return f"  {_quote('vp:' + name)} [{', '.join(attrs)}];"
 
 
 def _variant_node(name: str) -> str:
-    return f"  {_quote('variant:' + name)} [label=\"V\\n{name}\", shape=box];"
+    return f"  {_quote('variant:' + name)} [label=\"V\\n{_escape(name)}\", shape=box];"
 
 
 def export_dot(model: Model, view: Model | None = None) -> str:
@@ -287,7 +292,7 @@ def export_dot(model: Model, view: Model | None = None) -> str:
     for point in sorted(shown.variation_points, key=VariationPoint.sort_key):
         lines.append(_vp_node(point.name, point.kind))
     for name in sorted(stubs):
-        lines.append(_vp_node(name, None, stub=True))
+        lines.append(_vp_node(name, None))
     for name in list_variants(shown):
         lines.append(_variant_node(name))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
 from .errors import (
     AlreadyAssigned,
@@ -111,39 +111,52 @@ class Decision(Enum):
     DENY = "deny"
 
 
-class ParsedObject(NamedTuple):
-    """Structured object id: kind is one of category, vp, variant, dep,
-    altgroup, constraint; fields carry the decoded payload."""
+_TAGS = {Universe.VARIANT: "V", Universe.VP: "VP"}
 
-    kind: str
-    fields: tuple
+# The category of each (kind, source universe, target universe) constraint shape.
+_CONSTRAINT_CATEGORIES: dict[tuple, Category] = {
+    (kind, source, target): Category(f"{kind.name}_{_TAGS[source]}_{_TAGS[target]}")
+    for kind in ConstraintKind
+    for source in Universe
+    for target in Universe
+}
+
+# The category a variant or alt-group id spells; vp and dependency ids spell
+# none, since their mandatory/optional kind lives in the model.
+_SPELLED = {"vp": None, "variant": Category.VARIANT, "altgroup": Category.ALTGROUP}
 
 
-def _parse_object_text(text: str) -> ParsedObject:
+def _parse_object_text(text: str) -> Category | None:
+    """Check an object-id text; return the category it names or spells."""
     if not isinstance(text, str) or ":" not in text:
         raise ParseError(f"malformed object id {text!r}")
     prefix, _, rest = text.partition(":")
     if prefix == "set":
         try:
-            return ParsedObject("category", (Category(rest),))
+            return Category(rest)
         except ValueError:
             raise ParseError(f"unknown category {rest!r} in object id") from None
     try:
-        if prefix in ("vp", "variant", "altgroup"):
-            return ParsedObject(prefix, (check_name(rest),))
+        if prefix in _SPELLED:
+            check_name(rest)
+            return _SPELLED[prefix]
         if prefix == "dep":
             variant, sep, vp = rest.partition("->")
             if not sep or "->" in vp:
                 raise ParseError(f"malformed dependency id {text!r}")
-            return ParsedObject("dep", (check_name(variant), check_name(vp)))
+            check_name(variant)
+            check_name(vp)
+            return None
         if prefix == "constraint":
             parts = rest.split(":")
             if len(parts) != 5:
                 raise ParseError(f"malformed constraint id {text!r}")
             kind = ConstraintKind(parts[0])
-            source = EndpointRef(Universe(parts[1]), check_name(parts[2]))
-            target = EndpointRef(Universe(parts[3]), check_name(parts[4]))
-            return ParsedObject("constraint", (kind, source, target))
+            source = Universe(parts[1])
+            check_name(parts[2])
+            target = Universe(parts[3])
+            check_name(parts[4])
+            return _CONSTRAINT_CATEGORIES[kind, source, target]
     except (ValueError, InvalidName) as exc:
         raise ParseError(f"malformed object id {text!r}: {exc}") from None
     raise ParseError(f"unknown object id prefix {prefix!r}")
@@ -157,30 +170,28 @@ class ObjectId:
     ``dep:<variant>-><vp>``, ``altgroup:<vp>``, and
     ``constraint:<kind>:<universe>:<name>:<universe>:<name>``. The text is
     unique per object and stable, so equality and ordering are textual.
-    It is parsed once, on construction, and the parse is kept.
+    It is parsed once, on construction, and keeps the category its text
+    names (a ``set:`` id) or spells (see ``_parse_object_text``).
     An element id need not reference a currently existing element: grants
     may precede model edits and stay inert until the element appears.
     """
 
     text: str
-    _parsed: ParsedObject = field(init=False, repr=False, compare=False)
+    _category: Category | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_parsed", _parse_object_text(self.text))
+        object.__setattr__(self, "_category", _parse_object_text(self.text))
 
     def __str__(self) -> str:
         return self.text
 
-    def parts(self) -> ParsedObject:
-        return self._parsed
-
     @property
     def is_category(self) -> bool:
-        return self._parsed.kind == "category"
+        return self.text.startswith("set:")
 
     @property
     def category(self) -> Category | None:
-        return self._parsed.fields[0] if self._parsed.kind == "category" else None
+        return self._category if self.is_category else None
 
 
 def parse_object_id(text: str) -> ObjectId:
@@ -317,16 +328,6 @@ def revoke_permission(
 
 # --- category resolution --------------------------------------------------------
 
-_TAGS = {Universe.VARIANT: "V", Universe.VP: "VP"}
-
-# The category of each (kind, source universe, target universe) constraint shape.
-_CONSTRAINT_CATEGORIES: dict[tuple, Category] = {
-    (kind, source, target): Category(f"{kind.name}_{_TAGS[source]}_{_TAGS[target]}")
-    for kind in ConstraintKind
-    for source in Universe
-    for target in Universe
-}
-
 # Per element type: its object-id spelling and the one category it belongs to.
 _ELEMENT_RULES: dict[type, tuple[Callable, Callable]] = {
     VariationPoint: (
@@ -386,19 +387,6 @@ def category_members(model: Model, category: Category) -> frozenset[ObjectId]:
     )
 
 
-def syntactic_category(obj: ObjectId) -> Category | None:
-    """The category an element id belongs to by its spelling alone.
-
-    Only variant, alt-group, and constraint ids encode their category; vp
-    and dependency ids need the model to resolve their mandatory/optional
-    kind.
-    """
-    parsed = obj.parts()
-    if parsed.kind == "constraint":
-        return element_category(Constraint(*parsed.fields))
-    return {"variant": Category.VARIANT, "altgroup": Category.ALTGROUP}.get(parsed.kind)
-
-
 def object_matches(
     granted: ObjectId, requested: ObjectId, model: Model, operation: str
 ) -> bool:
@@ -420,34 +408,29 @@ def object_matches(
         return False
     if requested in category_members(model, cat):
         return True
-    if operation in _CREATION_OPERATIONS:
-        return syntactic_category(requested) is cat
-    return False
+    return operation in _CREATION_OPERATIONS and requested._category is cat
 
 
 # --- queries and checks -----------------------------------------------------------
 
-def assigned_roles(policy: Policy, user: str) -> frozenset[str]:
-    return frozenset(r for (u, r) in policy.user_assignments if u == user)
+def _grants(policy: Policy, roles: Container[str]) -> Iterator[Permission]:
+    """The union of the roles' permission sets, category grants left unexpanded."""
+    return (perm for (perm, role) in policy.permission_assignments if role in roles)
 
 
 def role_permissions(policy: Policy, role: str) -> frozenset[Permission]:
     """The role's permission set, category grants left unexpanded."""
     if role not in policy.roles:
         raise UnknownRole(f"role {role!r} is not registered")
-    return frozenset(
-        perm for (perm, r) in policy.permission_assignments if r == role
-    )
+    return frozenset(_grants(policy, {role}))
 
 
 def user_permissions(policy: Policy, user: str) -> frozenset[Permission]:
     """The union of the permission sets of every role the user holds."""
     if user not in policy.users:
         raise UnknownUser(f"user {user!r} is not registered")
-    roles = assigned_roles(policy, user)
-    return frozenset(
-        perm for (perm, role) in policy.permission_assignments if role in roles
-    )
+    roles = {r for (u, r) in policy.user_assignments if u == user}
+    return frozenset(_grants(policy, roles))
 
 
 def check_access(
@@ -461,10 +444,10 @@ def check_access(
 
     Fail-closed: any unknown id simply yields Deny.
     """
-    for role in assigned_roles(policy, user):
-        for perm, holder in policy.permission_assignments:
-            if holder != role or perm.operation != operation:
-                continue
-            if object_matches(perm.object, obj, model, operation):
-                return Decision.ALLOW
+    roles = {r for (u, r) in policy.user_assignments if u == user}
+    for perm in _grants(policy, roles):
+        if perm.operation == operation and object_matches(
+            perm.object, obj, model, operation
+        ):
+            return Decision.ALLOW
     return Decision.DENY

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ovmrbac
 from ovmrbac import save_model, save_policy
 from ovmrbac.cli import main
 from ovmrbac.fixture import build_example_model, build_example_policy
@@ -340,6 +343,44 @@ class TestRender:
         assert code == 0
         assert out.count("shape=triangle") == 8
         assert out.count('label="excludes"') == 1
+
+
+class TestClosedStdout:
+    """A closed stdout is an I/O error: exit 2, one line on stderr."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render", "model.json"],
+            ["check", "model.json", "policy.json", "--user", "Alice", "--op", "read",
+             "--object", "set:OBJECTS"],
+            ["view", "model.json", "policy.json", "--user", "Alice"],
+            ["apply", "model.json", "policy.json", "--user", "Alice",
+             "--op", "addManVP", "New VP"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exits_two_without_traceback(self, example_dir, argv, unbuffered):
+        src = Path(ovmrbac.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        before = (example_dir / "model.json").read_bytes()
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the child's stdout fails
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "ovmrbac.cli", *argv], cwd=example_dir,
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr == "error: cannot write to standard output: Broken pipe\n"
+        assert (example_dir / "model.json").read_bytes() == before
 
 
 FIXTURE_ROLES = ("Grid Node Expert", "Image Expert", "Security Expert")

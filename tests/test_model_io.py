@@ -15,6 +15,10 @@ from ovmrbac import (
     ParseError,
     READ_LIKE,
     StructuralViolation,
+    VariabilityKind,
+    VariationPoint,
+    Variant,
+    ViewModel,
     derive_view,
     export_dot,
     load_model,
@@ -256,6 +260,24 @@ class TestDotExport:
         model = add_man_vp(new_empty_model(), 'He said "hi" VP')
         dot = export_dot(model)
         assert '\\"hi\\"' in dot
+
+    def test_labels_escape_names(self):
+        """A quote or a trailing backslash in a name stays inside its label."""
+        view = ViewModel(
+            variation_points=frozenset({
+                VariationPoint('a"b', VariabilityKind.MANDATORY),
+                VariationPoint("x\\", VariabilityKind.OPTIONAL),
+            }),
+            variants=frozenset({Variant("c\\")}),
+            vp_stubs=frozenset({'s"\\'}),
+        )
+        assert export_dot(view).splitlines()[1:-1] == [
+            '  "vp:a\\"b" [label="VP\\na\\"b", shape=triangle];',
+            '  "vp:x\\\\" [label="VP\\nx\\\\", shape=triangle, style=dashed];',
+            '  "vp:s\\"\\\\" [label="VP\\ns\\"\\\\", shape=triangle, color=gray, '
+            'fontcolor=gray];',
+            '  "variant:c\\\\" [label="V\\nc\\\\", shape=box];',
+        ]
 
 
 # Builds, in a fresh interpreter, one model whose components tie on every key

@@ -43,42 +43,114 @@ ALLOW = Decision.ALLOW
 DENY = Decision.DENY
 
 
+# Every object-id shape: its text, the category it names (``set:`` ids only),
+# and the category it spells (variant, alt-group and constraint ids only),
+# which is what a creation operation's category grant matches on.
+ID_SHAPES = [
+    ("set:OBJECTS", Category.OBJECTS, None),
+    ("set:MAN_VP", Category.MAN_VP, None),
+    ("set:EXCLUDES_VP_V", Category.EXCLUDES_VP_V, None),
+    ("vp:CPU VP", None, None),
+    ("variant:Sc.Linux", None, Category.VARIANT),
+    ("dep:Matlab->Library Required VP", None, None),
+    ("altgroup:Authentication VP", None, Category.ALTGROUP),
+    ("constraint:requires:variant:Linux:variant:Grid", None, Category.REQUIRES_V_V),
+    ("constraint:requires:variant:Linux:vp:Linux VP", None, Category.REQUIRES_V_VP),
+    ("constraint:requires:vp:OS VP:variant:Linux", None, Category.REQUIRES_VP_V),
+    ("constraint:requires:vp:OS VP:vp:CPU VP", None, Category.REQUIRES_VP_VP),
+    ("constraint:excludes:variant:Matlab:variant:Sc.Linux", None, Category.EXCLUDES_V_V),
+    ("constraint:excludes:variant:Matlab:vp:GPU VP", None, Category.EXCLUDES_V_VP),
+    ("constraint:excludes:vp:GPU VP:variant:Matlab", None, Category.EXCLUDES_VP_V),
+    ("constraint:excludes:vp:GPU VP:vp:OS VP", None, Category.EXCLUDES_VP_VP),
+]
+
+
+# Malformed object-id texts and the exact error each raises.
+MALFORMED_IDS = [
+    ("", "malformed object id ''"),
+    ("plainname", "malformed object id 'plainname'"),
+    (None, "malformed object id None"),
+    (5, "malformed object id 5"),
+    ("set:NOT_A_SET", "unknown category 'NOT_A_SET' in object id"),
+    (
+        "vp:",
+        "malformed object id 'vp:': element name must be a non-empty string",
+    ),
+    ("dep:onlyvariant", "malformed dependency id 'dep:onlyvariant'"),
+    ("dep:a->b->c", "malformed dependency id 'dep:a->b->c'"),
+    (
+        "constraint:requires:variant:a",
+        "malformed constraint id 'constraint:requires:variant:a'",
+    ),
+    (
+        "constraint:sometimes:variant:a:variant:b",
+        "malformed object id 'constraint:sometimes:variant:a:variant:b': "
+        "'sometimes' is not a valid ConstraintKind",
+    ),
+    (
+        "constraint:requires:planet:a:variant:b",
+        "malformed object id 'constraint:requires:planet:a:variant:b': "
+        "'planet' is not a valid Universe",
+    ),
+    ("what:ever", "unknown object id prefix 'what'"),
+    # Two faults at once: the first check in parse order reports.
+    (
+        "constraint:sometimes:planet:a:variant:b",
+        "malformed object id 'constraint:sometimes:planet:a:variant:b': "
+        "'sometimes' is not a valid ConstraintKind",
+    ),
+    (
+        "constraint:requires:planet::variant:b",
+        "malformed object id 'constraint:requires:planet::variant:b': "
+        "'planet' is not a valid Universe",
+    ),
+    (
+        "constraint:requires:variant::planet:b",
+        "malformed object id 'constraint:requires:variant::planet:b': "
+        "element name must be a non-empty string",
+    ),
+    (
+        "dep:->x",
+        "malformed object id 'dep:->x': element name must be a non-empty string",
+    ),
+]
+
+
 class TestObjectIds:
     @pytest.mark.parametrize(
-        "text",
-        [
-            "set:OBJECTS",
-            "set:MAN_VP",
-            "set:EXCLUDES_VP_V",
-            "vp:CPU VP",
-            "variant:Sc.Linux",
-            "dep:Matlab->Library Required VP",
-            "altgroup:Authentication VP",
-            "constraint:requires:variant:Linux:vp:Linux VP",
-            "constraint:excludes:variant:Matlab:variant:Sc.Linux",
-        ],
+        "text, named, spelled", ID_SHAPES, ids=[text for text, _, _ in ID_SHAPES]
     )
-    def test_canonical_texts_round_trip(self, text):
-        assert parse_object_id(text).text == text
+    def test_canonical_texts_round_trip(self, text, named, spelled):
+        obj = parse_object_id(text)
+        assert obj.text == text
+        assert (obj.is_category, obj.category) == (named is not None, named)
 
     @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "plainname",
-            "set:NOT_A_SET",
-            "vp:",
-            "dep:onlyvariant",
-            "dep:a->b->c",
-            "constraint:requires:variant:a",
-            "constraint:sometimes:variant:a:variant:b",
-            "constraint:requires:planet:a:variant:b",
-            "what:ever",
-        ],
+        "text, message", MALFORMED_IDS, ids=[str(text) for text, _ in MALFORMED_IDS]
     )
-    def test_malformed_texts_rejected(self, text):
-        with pytest.raises(ParseError):
+    def test_malformed_texts_rejected(self, text, message):
+        with pytest.raises(ParseError) as raised:
             parse_object_id(text)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("granted", list(Category), ids=lambda c: c.value)
+    def test_creation_grants_match_the_spelled_category(self, granted):
+        """On an empty model only the creation rule, an exact id or
+        ``set:OBJECTS`` can allow; the rule reads the id's spelled category."""
+        policy = assign_user(add_user(add_role(new_empty_policy(), "R"), "u"), "u", "R")
+        for operation in ("add_Constraint", "add_AltGroup", "remove_Constraint"):
+            policy = grant_permission2(policy, [category_object(granted)], operation, "R")
+        model = new_empty_model()
+        for text, named, spelled in ID_SHAPES:
+            for operation in ("add_Constraint", "add_AltGroup", "remove_Constraint"):
+                creation = operation != "remove_Constraint"
+                expected = (
+                    granted is Category.OBJECTS
+                    or named is granted
+                    or (creation and spelled is granted)
+                )
+                got = check_access(policy, model, "u", operation, ObjectId(text))
+                assert got is (ALLOW if expected else DENY), (text, operation)
 
     def test_ids_are_value_objects(self):
         assert ObjectId("vp:OS VP") == vp_object("OS VP")

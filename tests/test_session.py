@@ -360,5 +360,5 @@ class TestParsing:
             for user in sorted(example_policy.users):
                 user_view(example_policy, example_model, user, op_filter)
         assert (built.category, built.is_category) == (None, False)
-        assert built.parts().kind == "constraint"
+        assert built._category is Category.REQUIRES_V_VP
         assert parsed == []
