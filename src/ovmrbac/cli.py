@@ -2,17 +2,21 @@
 
 Exit codes: 0 success (or Allow), 1 Deny / violations found / a role with no
 permissions, 2 usage, parse, or I/O error (a closed stdout too), 3 operation
-rejected by a model precondition.
+rejected by a model precondition. A command either prints its output and
+replaces its files, or fails with exit 2 having done neither (``init-example``
+may leave an empty directory). Exits 1 and 3 replace no file.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import fixture, model_io, rbac
 from .errors import NoPermissions, OvmRbacError, ParseError
@@ -40,6 +44,14 @@ EXIT_USAGE = 2
 EXIT_REJECTED = 3
 
 
+class Reply(NamedTuple):
+    """A command's exit code, stdout text and files to write; ``main`` does the I/O."""
+
+    code: int
+    out: str
+    writes: tuple[tuple[str | Path, str], ...] = ()
+
+
 def _fail(message: str, code: int = EXIT_USAGE) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -54,17 +66,18 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.reason}") from None
 
 
-def _write(path: str | Path, text: str) -> None:
-    """Replace the file at ``path`` with ``text`` in one step.
+def _stage(path: str | Path, text: str) -> tuple[Path, Path]:
+    """Write ``text`` to a fresh file beside the target of ``path``; return both.
 
-    The text goes to a fresh file in the same directory, which then replaces
-    the target, so a crash never leaves a truncated document behind. An
-    existing target keeps its permission bits; a new one gets the umask
-    default, as with a plain open.
+    ``main`` renames the fresh file over the target, so a crash never leaves a
+    truncated document behind. An existing target keeps its permission bits; a
+    new one gets the umask default, as with a plain open.
     """
     target = Path(os.path.realpath(path))
     temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     try:
+        if target.is_dir():  # the rename would fail after the output is out
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         try:
             mode = stat.S_IMODE(target.stat().st_mode)
         except FileNotFoundError:
@@ -77,12 +90,12 @@ def _write(path: str | Path, text: str) -> None:
                 out.write(text)
             if mode is not None:
                 os.chmod(temp, mode)
-            os.replace(temp, target)
         except BaseException:
             temp.unlink(missing_ok=True)
             raise
     except OSError as exc:
         raise OvmRbacError(f"cannot write {path}: {exc.strerror}") from None
+    return temp, target
 
 
 def request_from_args(op: str, raw: list[str]) -> OpRequest:
@@ -133,107 +146,96 @@ def _view_document(view: ViewModel) -> dict:
     return doc
 
 
-def cmd_init_example(args: argparse.Namespace) -> int:
+def cmd_init_example(args: argparse.Namespace) -> Reply:
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        return _fail(f"cannot write to {out_dir}: {exc.strerror}")
-    _write(out_dir / "model.json", model_io.save_model(fixture.build_example_model()))
-    _write(
-        out_dir / "policy.json", model_io.save_policy(fixture.build_example_policy())
-    )
-    if args.explain:
-        print(fixture.explain_normalization(), end="")
-    print(f"wrote {out_dir / 'model.json'} and {out_dir / 'policy.json'}")
-    return EXIT_OK
+        raise OvmRbacError(f"cannot write to {out_dir}: {exc.strerror}") from None
+    out = fixture.explain_normalization() if args.explain else ""
+    out += f"wrote {out_dir / 'model.json'} and {out_dir / 'policy.json'}\n"
+    return Reply(EXIT_OK, out, (
+        (out_dir / "model.json", model_io.save_model(fixture.build_example_model())),
+        (out_dir / "policy.json", model_io.save_policy(fixture.build_example_policy())),
+    ))
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> Reply:
     model = model_io.load_model(_read(args.model))
     violations = validate_model(model)
-    for violation in violations:
-        print(violation)
-    return EXIT_OK if not violations else EXIT_DENIED
+    out = "".join(f"{violation}\n" for violation in violations)
+    return Reply(EXIT_OK if not violations else EXIT_DENIED, out)
 
 
-def cmd_apply(args: argparse.Namespace) -> int:
+def cmd_apply(args: argparse.Namespace) -> Reply:
     model = model_io.load_model(_read(args.model))
     policy = model_io.load_policy(_read(args.policy))
     try:
         request = request_from_args(args.op[0], args.op[1:])
     except ValueError as exc:
-        return _fail(str(exc))
+        raise OvmRbacError(str(exc)) from None
     session = Session(user=args.user, model=model, policy=policy)
     outcome = execute(session, request)
-    # Flushed before the write, so a closed stdout leaves the model unchanged.
-    print(session.log[-1].render(), flush=True)
+    out = session.log[-1].render() + "\n"
     if outcome.status is OutcomeStatus.DENIED:
-        return EXIT_DENIED
+        return Reply(EXIT_DENIED, out)
     if outcome.status is OutcomeStatus.REJECTED:
-        return EXIT_REJECTED
-    _write(args.model, model_io.save_model(session.model))
-    return EXIT_OK
+        return Reply(EXIT_REJECTED, out)
+    return Reply(EXIT_OK, out, ((args.model, model_io.save_model(session.model)),))
 
 
-def cmd_grant(args: argparse.Namespace) -> int:
+def cmd_grant(args: argparse.Namespace) -> Reply:
     policy = model_io.load_policy(_read(args.policy))
     objects = [ObjectId(text) for text in args.objects]
     policy = rbac.grant_permission2(policy, objects, args.op, args.role)
-    _write(args.policy, model_io.save_policy(policy))
-    print(f"granted {args.op} on {len(args.objects)} object(s) to {args.role}")
-    return EXIT_OK
+    out = f"granted {args.op} on {len(args.objects)} object(s) to {args.role}\n"
+    return Reply(EXIT_OK, out, ((args.policy, model_io.save_policy(policy)),))
 
 
-def cmd_assign(args: argparse.Namespace) -> int:
+def cmd_assign(args: argparse.Namespace) -> Reply:
     policy = model_io.load_policy(_read(args.policy))
     policy = rbac.assign_user(policy, args.user, args.role)
-    _write(args.policy, model_io.save_policy(policy))
-    print(f"assigned {args.user} to {args.role}")
-    return EXIT_OK
+    out = f"assigned {args.user} to {args.role}\n"
+    return Reply(EXIT_OK, out, ((args.policy, model_io.save_policy(policy)),))
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> Reply:
     model = model_io.load_model(_read(args.model))
     policy = model_io.load_policy(_read(args.policy))
     obj = ObjectId(args.object)
     decision = check_access(policy, model, args.user, args.op, obj)
-    print("Allow" if decision is Decision.ALLOW else "Deny")
-    return EXIT_OK if decision is Decision.ALLOW else EXIT_DENIED
+    out = "Allow\n" if decision is Decision.ALLOW else "Deny\n"
+    return Reply(EXIT_OK if decision is Decision.ALLOW else EXIT_DENIED, out)
 
 
-def cmd_view(args: argparse.Namespace) -> int:
+def cmd_view(args: argparse.Namespace) -> Reply:
     model = model_io.load_model(_read(args.model))
     policy = model_io.load_policy(_read(args.policy))
     try:
         op_filter = _parse_filter(args.filter)
     except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        if args.role is not None:
-            permissions = role_permissions(policy, args.role)
-            view = derive_view(policy, model, args.role, op_filter)
-        else:
-            permissions = user_permissions(policy, args.user)
-            view = user_view(policy, model, args.user, op_filter)
-    except NoPermissions as exc:
-        return _fail(str(exc), EXIT_DENIED)
+        raise OvmRbacError(str(exc)) from None
+    if args.role is not None:
+        permissions = role_permissions(policy, args.role)
+        view = derive_view(policy, model, args.role, op_filter)
+    else:
+        permissions = user_permissions(policy, args.user)
+        view = user_view(policy, model, args.user, op_filter)
     document = {
         "subject": args.role if args.role is not None else args.user,
         "filter": args.filter,
         "permissions": _permission_rows(permissions),
         "view": _view_document(view),
     }
-    if args.dot is not None:
-        _write(args.dot, model_io.export_dot(model, view))
-    print(json.dumps(document, indent=2, sort_keys=True))
-    return EXIT_OK
+    out = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    if args.dot is None:
+        return Reply(EXIT_OK, out)
+    return Reply(EXIT_OK, out, ((args.dot, model_io.export_dot(model, view)),))
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: argparse.Namespace) -> Reply:
     model = model_io.load_model(_read(args.model))
-    print(model_io.export_dot(model), end="")
-    return EXIT_OK
+    return Reply(EXIT_OK, model_io.export_dot(model))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,12 +303,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    staged: list[tuple[Path, Path]] = []
     try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        finally:
+            sys.stdout.flush()  # --help prints, then leaves by SystemExit
+        reply = args.func(args)
+        for path, text in reply.writes:  # all staged before any output
+            staged.append(_stage(path, text))
+        sys.stdout.write(reply.out)
         sys.stdout.flush()
-        return code
+        for (temp, target), (path, _) in zip(staged, reply.writes):
+            try:
+                os.replace(temp, target)
+            except OSError as exc:
+                raise OvmRbacError(f"cannot write {path}: {exc.strerror}") from None
+        return reply.code
+    except NoPermissions as exc:
+        return _fail(str(exc), EXIT_DENIED)
     except OvmRbacError as exc:
         return _fail(str(exc))
     except BrokenPipeError as exc:
@@ -316,6 +331,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return _fail(f"cannot write to standard output: {exc.strerror}")
+    finally:
+        for temp, _ in staged:  # a renamed file is gone from here already
+            temp.unlink(missing_ok=True)
 
 
 if __name__ == "__main__":

@@ -75,22 +75,20 @@ VARIANTS = (
     "Library Required",
 )
 
-MANDATORY_DEPS = (
-    ("Authentication", "Grid Deployment Node VP"),
-    ("OS", "Grid Deployment Node VP"),
-    ("Processor", "Grid Deployment Node VP"),
-    ("Grid Deployment Node", "Grid Deployment VP"),
-    ("CPU", "Processor VP"),
-)
-
-OPTIONAL_DEPS = (
-    ("File Size Limit", "Grid Deployment Node VP"),
-    ("GPU", "Processor VP"),
-    ("Matlab", "Library Required VP"),
-    ("Library Required", "Grid Deployment Node VP"),
-    ("Linux", "OS VP"),
-    ("Windows", "OS VP"),
-    ("Sc.Linux", "OS VP"),
+# (variant, variation point, kind)
+DEPENDENCIES = (
+    ("Authentication", "Grid Deployment Node VP", "mandatory"),
+    ("OS", "Grid Deployment Node VP", "mandatory"),
+    ("Processor", "Grid Deployment Node VP", "mandatory"),
+    ("Grid Deployment Node", "Grid Deployment VP", "mandatory"),
+    ("CPU", "Processor VP", "mandatory"),
+    ("File Size Limit", "Grid Deployment Node VP", "optional"),
+    ("GPU", "Processor VP", "optional"),
+    ("Matlab", "Library Required VP", "optional"),
+    ("Library Required", "Grid Deployment Node VP", "optional"),
+    ("Linux", "OS VP", "optional"),
+    ("Windows", "OS VP", "optional"),
+    ("Sc.Linux", "OS VP", "optional"),
 )
 
 ALT_GROUPS = (
@@ -98,21 +96,18 @@ ALT_GROUPS = (
     (("x32", "x64"), 1, 1, "CPU VP"),
 )
 
-REQUIRES_V_VP = (
-    ("Authentication", "Authentication VP"),
-    ("Library Required", "Library Required VP"),
-    ("Linux", "Linux VP"),
-    ("OS", "OS VP"),
-    ("CPU", "CPU VP"),
-    ("Matlab", "Library Required VP"),
+# (kind, source universe, source, target universe, target)
+CONSTRAINTS = (
+    ("requires", "variant", "Authentication", "vp", "Authentication VP"),
+    ("requires", "variant", "Library Required", "vp", "Library Required VP"),
+    ("requires", "variant", "Linux", "vp", "Linux VP"),
+    ("requires", "variant", "OS", "vp", "OS VP"),
+    ("requires", "variant", "CPU", "vp", "CPU VP"),
+    ("requires", "variant", "Matlab", "vp", "Library Required VP"),
+    ("requires", "vp", "Authentication VP", "variant", "Authentication"),
+    ("requires", "vp", "Linux VP", "variant", "Linux"),
+    ("excludes", "variant", "Matlab", "variant", "Sc.Linux"),
 )
-
-REQUIRES_VP_V = (
-    ("Authentication VP", "Authentication"),
-    ("Linux VP", "Linux"),
-)
-
-EXCLUDES_V_V = (("Matlab", "Sc.Linux"),)
 
 USERS = ("Alice", "Helen", "Bob")
 
@@ -146,32 +141,16 @@ def build_example_model() -> Model:
         model = ovm.add_opt_vp(model, name)
     for name in VARIANTS:
         model = ovm.add_variant(model, name)
-    for variant, vp in MANDATORY_DEPS:
-        model = ovm.add_dependency(model, variant, vp, VariabilityKind.MANDATORY)
-    for variant, vp in OPTIONAL_DEPS:
-        model = ovm.add_dependency(model, variant, vp, VariabilityKind.OPTIONAL)
+    for variant, vp, kind in DEPENDENCIES:
+        model = ovm.add_dependency(model, variant, vp, VariabilityKind(kind))
     for members, min_card, max_card, vp in ALT_GROUPS:
         model = ovm.add_alt_group(model, members, min_card, max_card, vp)
-    for variant, vp in REQUIRES_V_VP:
+    for kind, source_universe, source, target_universe, target in CONSTRAINTS:
         model = ovm.add_constraint(
             model,
-            ConstraintKind.REQUIRES,
-            EndpointRef(Universe.VARIANT, variant),
-            EndpointRef(Universe.VP, vp),
-        )
-    for vp, variant in REQUIRES_VP_V:
-        model = ovm.add_constraint(
-            model,
-            ConstraintKind.REQUIRES,
-            EndpointRef(Universe.VP, vp),
-            EndpointRef(Universe.VARIANT, variant),
-        )
-    for left, right in EXCLUDES_V_V:
-        model = ovm.add_constraint(
-            model,
-            ConstraintKind.EXCLUDES,
-            EndpointRef(Universe.VARIANT, left),
-            EndpointRef(Universe.VARIANT, right),
+            ConstraintKind(kind),
+            EndpointRef(Universe(source_universe), source),
+            EndpointRef(Universe(target_universe), target),
         )
     return model
 

@@ -206,6 +206,15 @@ class TestWrites:
         assert code == 0
         assert dot_path.stat().st_mode == plain.stat().st_mode
 
+    def test_failed_second_write_replaces_nothing(self, tmp_path, capsys):
+        (tmp_path / "policy.json").mkdir()
+        code, out, err = run(capsys, "init-example", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: cannot write")
+        assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["policy.json"]
+        assert not any((tmp_path / "policy.json").iterdir())
+
     def test_write_failure_exits_two(self, example_dir, capsys):
         code, out, err = run(
             capsys, "view", str(example_dir / "model.json"),
@@ -358,29 +367,54 @@ class TestClosedStdout:
             ["view", "model.json", "policy.json", "--user", "Alice"],
             ["apply", "model.json", "policy.json", "--user", "Alice",
              "--op", "addManVP", "New VP"],
+            ["grant", "policy.json", "--objects", "vp:OS VP", "--op", "read",
+             "--role", "Security Expert"],
+            ["assign", "policy.json", "--user", "Bob", "--role", "Grid Node Expert"],
+            ["view", "model.json", "policy.json", "--user", "Alice",
+             "--dot", "view.dot"],
+            ["init-example", "sub"],
         ],
-        ids=lambda argv: argv[0],
+        ids=["render", "check", "view", "apply", "grant", "assign", "view --dot",
+             "init-example"],
     )
     def test_exits_two_without_traceback(self, example_dir, argv, unbuffered):
+        before = self.files(example_dir)
+        result = self.run_closed(example_dir, argv, unbuffered)
+        assert result.returncode == 2
+        assert result.stderr == "error: cannot write to standard output: Broken pipe\n"
+        assert self.files(example_dir) == before  # no view.dot, no file in sub/
+
+    # Unbuffered, argparse's own print swallows the error and --help exits 0.
+    @pytest.mark.parametrize("argv", [["--help"], ["grant", "--help"]], ids=" ".join)
+    def test_buffered_help_exits_two(self, tmp_path, argv):
+        result = self.run_closed(tmp_path, argv, unbuffered=False)
+        assert result.returncode == 2
+        assert result.stderr == "error: cannot write to standard output: Broken pipe\n"
+
+    @staticmethod
+    def files(directory):
+        return {
+            path: path.read_bytes() for path in directory.rglob("*") if path.is_file()
+        }
+
+    @staticmethod
+    def run_closed(directory, argv, unbuffered):
+        """Run the CLI in ``directory`` with a stdout pipe that has no reader."""
         src = Path(ovmrbac.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(src)}
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        before = (example_dir / "model.json").read_bytes()
         read_end, write_end = os.pipe()
         os.close(read_end)  # every write to the child's stdout fails
         try:
-            result = subprocess.run(
-                [sys.executable, "-m", "ovmrbac.cli", *argv], cwd=example_dir,
+            return subprocess.run(
+                [sys.executable, "-m", "ovmrbac.cli", *argv], cwd=directory,
                 env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
                 timeout=60,
             )
         finally:
             os.close(write_end)
-        assert result.returncode == 2
-        assert result.stderr == "error: cannot write to standard output: Broken pipe\n"
-        assert (example_dir / "model.json").read_bytes() == before
 
 
 FIXTURE_ROLES = ("Grid Node Expert", "Image Expert", "Security Expert")
