@@ -9,11 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovmrbac import (
+    AltGroup,
+    Constraint,
     ConstraintKind,
+    Dependency,
     EndpointRef,
     OvmRbacError,
     Universe,
     VariabilityKind,
+    Variant,
+    VariationPoint,
     add_alt_group,
     add_constraint,
     add_dependency,
@@ -36,6 +41,7 @@ from ovmrbac import (
     save_policy,
 )
 from ovmrbac.rbac import Category, category_object, check_access, Decision, vp_object
+from ovmrbac.session import OpRequest
 
 MAN = VariabilityKind.MANDATORY
 OPT = VariabilityKind.OPTIONAL
@@ -155,6 +161,89 @@ def test_random_sequences_preserve_structure(seeds):
             assert model == before  # a rejected request leaves its input as it was
             continue
         assert check_structure(model) == []
+
+
+def _expected_delta(request, before):
+    """(component, element) pairs an applied request adds or removes, derived
+    from the request alone; a removed element's value is read from ``before``."""
+    op, args = request.op, request.args
+    if op in ("addManVP", "removeManVP"):
+        return {("variation_points", VariationPoint(args[0], MAN))}
+    if op in ("addOptVP", "removeOptVP"):
+        return {("variation_points", VariationPoint(args[0], OPT))}
+    if op in ("addVariant", "removeVariant"):
+        return {("variants", Variant(args[0]))}
+    if op == "addDependency":
+        return {("dependencies", Dependency(*args))}
+    if op == "removeDependency":
+        return {
+            ("dependencies", d) for d in before.dependencies
+            if (d.variant, d.vp) == tuple(args)
+        }
+    if op == "addAltGroup":
+        return {("alt_groups", AltGroup(*args))}
+    if op == "removeAltGroup":
+        return {("alt_groups", g) for g in before.alt_groups if g.vp == args[0]}
+    kind, source, target = args
+    delta = {("constraints", Constraint(kind, source, target))}
+    if kind is ConstraintKind.EXCLUDES:  # the pair and its mirror
+        delta.add(("constraints", Constraint(kind, target, source)))
+    return delta
+
+
+def _removal_of(relation):
+    """The request that removes ``relation``."""
+    if type(relation) is Dependency:
+        return OpRequest("removeDependency", (relation.variant, relation.vp))
+    if type(relation) is AltGroup:
+        return OpRequest("removeAltGroup", (relation.vp,))
+    kind, source, target = relation.kind, relation.source, relation.target
+    return OpRequest("removeConstraint", (kind, source, target))
+
+
+# Postcondition and frame condition of every operation: an applied request
+# adds (or removes) exactly its expected delta and changes nothing else. The
+# sequences are long, because a relation needs both its endpoints first.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 30 - 1))
+def test_applied_requests_change_exactly_their_delta(seed):
+    import random
+
+    from tests_support import random_model_request, apply_model_request
+
+    rng = random.Random(seed)
+    model = new_empty_model()
+    for _ in range(150):
+        # random requests rarely name a relation the model holds, so removals
+        # of held relations are mixed in
+        held = sorted(
+            (
+                _removal_of(relation)
+                for part in (model.dependencies, model.alt_groups, model.constraints)
+                for relation in part
+            ),
+            key=lambda r: (r.op, str(r.args)),
+        )
+        if held and rng.random() < 0.3:
+            request = rng.choice(held)
+        else:
+            request = random_model_request(rng)
+        try:
+            after = apply_model_request(model, request)
+        except OvmRbacError:
+            continue
+        expected = _expected_delta(request, model)
+        assert len(expected) == (2 if request.args[0] is ConstraintKind.EXCLUDES else 1)
+        before_items, after_items = (
+            {(key, element) for key, part in components(m).items() for element in part}
+            for m in (model, after)
+        )
+        added, removed = after_items - before_items, before_items - after_items
+        if request.op.startswith("add"):
+            assert (added, removed) == (expected, set())
+        else:
+            assert (added, removed) == (set(), expected)
+        model = after
 
 
 def test_every_add_grows_exactly_one_component(example_model):
