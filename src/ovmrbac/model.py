@@ -18,10 +18,11 @@ Four rules are each stated once, and both the guards and the validators use
 them: whether an endpoint exists (``_exists``), which endpoints the relations
 name (``references``), what binds a variant (``_binding`` for one variant,
 ``_binding_counts`` for all), and which kinds of constraint claim an ordered
-pair (``_claims``). Other modules call this module's rules instead of restating
-them: ``references`` (what a view carries along), ``group_members`` (request
-arguments), ``dependency_between`` (the kind a removal request targets) and
-each component's order, ``sort_key`` or ``list_*`` (documents and DOT text).
+pair (``_claims``); a fifth, ``Constraint.closure``, states excludes symmetry.
+Other modules call these rules instead of restating them: ``references`` (what
+a view carries), ``group_members`` (request arguments), ``dependency_between``
+(what a removal request targets), ``closure`` (what loading adds), and each
+component's ``sort_key``, ``list_*`` or ``stored_constraints`` (documents, DOT).
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ class Constraint:
     """A directed requires or excludes edge between two endpoints.
 
     Excludes constraints are kept closed under symmetry: both ordered
-    directions are present in the model whenever either is.
+    directions are present in the model whenever either is (``closure``).
     """
 
     kind: ConstraintKind
@@ -190,6 +191,13 @@ class Constraint:
 
     def reversed(self) -> Constraint:
         return Constraint(self.kind, self.target, self.source)
+
+    def closure(self) -> tuple[Constraint, ...]:
+        """What a model holding this constraint holds: itself, then its mirror
+        for excludes. This is the one statement of excludes symmetry."""
+        if self.kind is ConstraintKind.EXCLUDES:
+            return (self, self.reversed())
+        return (self,)
 
 
 @dataclass(frozen=True)
@@ -473,36 +481,29 @@ def remove_alt_group(model: Model, vp: str) -> Model:
 def add_constraint(
     model: Model, kind: ConstraintKind, source: EndpointRef, target: EndpointRef
 ) -> Model:
-    """Add a requires edge, or an excludes edge closed in both directions."""
+    """Add a constraint's closure; no kind may claim any of its pairs yet."""
     for end in (source, target):
         _require(model, Constraint, end.universe, end.name)
     if source == target:
         raise SelfConstraint(f"constraint endpoints are identical: {source.name!r}")
-    pairs = [(source, target)]
-    if kind is ConstraintKind.EXCLUDES:
-        pairs.append((target, source))
-    for a, b in pairs:
-        if _claims(model, a, b):
-            raise ConstraintConflict(
-                f"the pair {a.name!r} -> {b.name!r} is already constrained"
-            )
-    added = {Constraint(kind, a, b) for a, b in pairs}
-    return replace(model, constraints=model.constraints | added)
+    added = Constraint(kind, source, target).closure()
+    for c in added:
+        if _claims(model, c.source, c.target):
+            pair = f"{c.source.name!r} -> {c.target.name!r}"
+            raise ConstraintConflict(f"the pair {pair} is already constrained")
+    return replace(model, constraints=model.constraints.union(added))
 
 
 def remove_constraint(
     model: Model, kind: ConstraintKind, source: EndpointRef, target: EndpointRef
 ) -> Model:
-    """Remove a constraint; for excludes both directions go at once."""
+    """Remove a constraint's closure; for excludes both directions go at once."""
     wanted = Constraint(kind, source, target)
     if wanted not in model.constraints:
         raise NotFound(
             f"no {kind.value} constraint {source.name!r} -> {target.name!r}"
         )
-    removed = {wanted}
-    if kind is ConstraintKind.EXCLUDES:
-        removed.add(wanted.reversed())
-    return replace(model, constraints=model.constraints - removed)
+    return replace(model, constraints=model.constraints.difference(wanted.closure()))
 
 
 # --- validation ----------------------------------------------------------------
@@ -553,7 +554,7 @@ def check_structure(model: Model) -> list[Violation]:
     for c in model.constraints:
         if c.source == c.target:
             report("self-constraint", _subject(c), "endpoints are identical")
-        if c.kind is ConstraintKind.EXCLUDES and c.reversed() not in model.constraints:
+        if not model.constraints.issuperset(c.closure()[1:]):  # c itself is held
             detail = "excludes pair present in one direction only"
             report("excludes-asymmetry", _subject(c), detail)
         # a pair that both kinds claim holds a requires constraint
@@ -606,3 +607,13 @@ def list_constraints(
 ) -> list[Constraint]:
     picked = [c for c in model.constraints if kind is None or c.kind == kind]
     return sorted(picked, key=Constraint.sort_key)
+
+
+def stored_constraints(model: Model) -> list[Constraint]:
+    """Sorted constraints as documents and DOT text list them: each closure
+    once, as its least member by ``sort_key``; loading adds the closures back."""
+    stored = {
+        min(closure, key=Constraint.sort_key) if len(closure) > 1 else closure[0]
+        for closure in map(Constraint.closure, model.constraints)
+    }
+    return sorted(stored, key=Constraint.sort_key)

@@ -3,8 +3,8 @@
 Documents are UTF-8 JSON with sorted keys; their lists and DOT text follow
 each component's order in ``model``, so equal values give equal bytes.
 Loading rejects a document that parses but violates a structural invariant
-with StructuralViolation naming it. Excludes constraints are stored once per
-unordered pair and re-closed to both directions on load.
+with StructuralViolation naming it. Constraints are saved as
+``stored_constraints`` lists them and loaded as each one's ``closure``.
 """
 
 from __future__ import annotations
@@ -28,22 +28,13 @@ from .model import (
     list_alt_groups,
     list_dependencies,
     list_variants,
+    stored_constraints,
 )
 from .rbac import Permission, Policy, check_id, parse_object_id
 
 
 def _endpoint_to_json(ref: EndpointRef) -> dict[str, str]:
     return {"universe": ref.universe.value, "name": ref.name}
-
-
-def _stored_constraints(constraints: frozenset[Constraint]) -> list[Constraint]:
-    """Sorted constraints, each excludes pair once in its canonical direction."""
-    stored = {
-        min(c, c.reversed(), key=Constraint.sort_key)
-        if c.kind is ConstraintKind.EXCLUDES else c
-        for c in constraints
-    }
-    return sorted(stored, key=Constraint.sort_key)
 
 
 def model_to_document(model: Model) -> dict[str, Any]:
@@ -72,7 +63,7 @@ def model_to_document(model: Model) -> dict[str, Any]:
                 "from": _endpoint_to_json(c.source),
                 "to": _endpoint_to_json(c.target),
             }
-            for c in _stored_constraints(model.constraints)
+            for c in stored_constraints(model)
         ],
     }
 
@@ -150,10 +141,7 @@ def load_model(text: str) -> Model:
             kind = _enum_value(ConstraintKind, entry.get("kind"), "constraints")
             source = _endpoint_from_json(entry.get("from"), "constraints")
             target = _endpoint_from_json(entry.get("to"), "constraints")
-            constraint = Constraint(kind, source, target)
-            constraints.add(constraint)
-            if kind is ConstraintKind.EXCLUDES:
-                constraints.add(constraint.reversed())
+            constraints.update(Constraint(kind, source, target).closure())
     except ParseError:
         raise
     except OvmRbacError as exc:
@@ -310,7 +298,7 @@ def export_dot(model: Model, view: Model | None = None) -> str:
                 f'[style=dashed, label="{label}"];'
             )
 
-    for constraint in _stored_constraints(shown.constraints):
+    for constraint in stored_constraints(shown):
         if constraint.kind is ConstraintKind.EXCLUDES:
             attrs = 'dir=both, label="excludes"'
         else:

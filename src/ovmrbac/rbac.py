@@ -169,7 +169,7 @@ class ObjectId:
     Renderings: ``set:<CATEGORY>``, ``vp:<name>``, ``variant:<name>``,
     ``dep:<variant>-><vp>``, ``altgroup:<vp>``, and
     ``constraint:<kind>:<universe>:<name>:<universe>:<name>``. The text is
-    unique per object and stable, so equality and ordering are textual.
+    unique per object and stable, so equality and hashing are textual.
     It is parsed once, on construction, and keeps the category its text
     names (a ``set:`` id) or spells (see ``_parse_object_text``).
     An element id need not reference a currently existing element: grants
