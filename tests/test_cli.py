@@ -517,6 +517,125 @@ def test_fixture_outputs_are_pinned(tmp_path, capsys):
     assert digests == PINNED_DIGESTS
 
 
+# Grants the fixture policy lacks, so that every request op can apply:
+# (objects, operation) for Grid Node Expert, each with the stdout of its
+# grant and the SHA-256 of the policy.json it writes.
+PINNED_GRANTS = (
+    (("set:OPT_VP",), "add_Variation_Point",
+     "granted add_Variation_Point on 1 object(s) to Grid Node Expert\n",
+     "445e72a8eb1f40686d2366de6f1ceffb27fcb5736cb722b15c0a0a355f95159a"),
+    (("set:VARIANT",), "add_Variant",
+     "granted add_Variant on 1 object(s) to Grid Node Expert\n",
+     "b918ebd6f55b45cc2e366fe75295bcd660928dee5df3d0825917f0dfb4149b6d"),
+    (("set:VARIANT",), "remove_Variant",
+     "granted remove_Variant on 1 object(s) to Grid Node Expert\n",
+     "e8303240cdcb34764364ddd8521bf9e4a675b1b79ec34a250e3f49e11d18e527"),
+    (("set:OPT", "set:MAN"), "writeOptDep",
+     "granted writeOptDep on 2 object(s) to Grid Node Expert\n",
+     "d64c7f59e01fcba21f513210169b1685ca618318cf9dbc7a6cc9bc2b9f7b464c"),
+    (("set:ALTGROUP",), "add_AltGroup",
+     "granted add_AltGroup on 1 object(s) to Grid Node Expert\n",
+     "1b7f413cff436dd635f610bd7534695bf5332d22b969e7e081c437b0e7a3b76c"),
+    (("set:ALTGROUP",), "remove_AltGroup",
+     "granted remove_AltGroup on 1 object(s) to Grid Node Expert\n",
+     "8da68f96b4376cd80822feb2d9386d86e041b956db3982029d8363ffdb37cdc4"),
+    (("set:EXCLUDES_V_V",), "add_Constraint",
+     "granted add_Constraint on 1 object(s) to Grid Node Expert\n",
+     "f5bea45789f336abeabeda722956a34e9ea49a4a53f817e9d7ac53a389509c97"),
+    (("set:EXCLUDES_V_V",), "remove_Constraint",
+     "granted remove_Constraint on 1 object(s) to Grid Node Expert\n",
+     "b2cbd508cab92248f6d8ca26acc0f387d29d45c19423c4c064032a79dc380e26"),
+)
+PINNED_ASSIGN = (
+    "assigned Helen to Security Expert\n",
+    "aaa224e4278d3df733f58c9e0b6074d8560f1e07a24d7f61fce637e836e2adac",
+)
+
+# (user, request words, exit code, stdout) of each apply, in order, on the
+# fixture after the grants above: every request op, applied, denied and
+# rejected.
+PINNED_REQUESTS = (
+    ("Alice", ("addManVP", "Fresh VP"), 0,
+     "addManVP(Fresh VP) decision=allow outcome=applied\n"),
+    ("Alice", ("addOptVP", "Spare VP"), 0,
+     "addOptVP(Spare VP) decision=allow outcome=applied\n"),
+    ("Alice", ("removeManVP", "Fresh VP"), 0,
+     "removeManVP(Fresh VP) decision=allow outcome=applied\n"),
+    ("Alice", ("removeManVP", "OS VP"), 3,
+     "removeManVP(OS VP) decision=allow outcome=rejected: ElementInUse: "
+     "variation point 'OS VP' is still referenced by: dependency Linux -> OS VP; "
+     "dependency Sc.Linux -> OS VP; dependency Windows -> OS VP; "
+     "constraint requires variant:OS -> vp:OS VP\n"),
+    ("Alice", ("removeOptVP", "Spare VP"), 1,
+     "removeOptVP(Spare VP) decision=deny outcome=denied\n"),
+    ("Alice", ("addVariant", "Fresh"), 0,
+     "addVariant(Fresh) decision=allow outcome=applied\n"),
+    ("Helen", ("addVariant", "Other"), 1,
+     "addVariant(Other) decision=deny outcome=denied\n"),
+    ("Alice", ("removeVariant", "Kerberos"), 3,
+     "removeVariant(Kerberos) decision=allow outcome=rejected: ElementInUse: "
+     "variant 'Kerberos' is still referenced by: alternative group at "
+     "Authentication VP\n"),
+    ("Alice", ("addDependency", "Fresh", "Spare VP", "optional"), 0,
+     "addDependency(Fresh, Spare VP, optional) decision=allow outcome=applied\n"),
+    ("Alice", ("removeDependency", "Fresh", "Spare VP"), 0,
+     "removeDependency(Fresh, Spare VP) decision=allow outcome=applied\n"),
+    ("Bob", ("addAltGroup", "Linux VP", "1", "1", "x32", "x64"), 1,
+     "addAltGroup({x32, x64}, 1, 1, Linux VP) decision=deny outcome=denied\n"),
+    ("Alice", ("addAltGroup", "Spare VP", "1", "2", "x32", "Fresh"), 3,
+     "addAltGroup({Fresh, x32}, 1, 2, Spare VP) decision=allow outcome=rejected: "
+     "VariantAlreadyBound: variant 'x32' is already in the group at 'CPU VP'\n"),
+    ("Alice", ("addVariant", "Other"), 0,
+     "addVariant(Other) decision=allow outcome=applied\n"),
+    ("Alice", ("addAltGroup", "Spare VP", "1", "1", "Fresh", "Other"), 0,
+     "addAltGroup({Fresh, Other}, 1, 1, Spare VP) decision=allow outcome=applied\n"),
+    ("Bob", ("removeAltGroup", "Spare VP"), 1,
+     "removeAltGroup(Spare VP) decision=deny outcome=denied\n"),
+    ("Alice", ("removeAltGroup", "Spare VP"), 0,
+     "removeAltGroup(Spare VP) decision=allow outcome=applied\n"),
+    ("Alice", ("removeVariant", "Fresh"), 0,
+     "removeVariant(Fresh) decision=allow outcome=applied\n"),
+    ("Alice", ("addConstraint", "excludes", "variant:Windows", "variant:Kerberos"), 0,
+     "addConstraint(excludes, variant:Windows, variant:Kerberos) "
+     "decision=allow outcome=applied\n"),
+    ("Alice", ("addConstraint", "requires", "variant:Windows", "variant:Kerberos"), 1,
+     "addConstraint(requires, variant:Windows, variant:Kerberos) "
+     "decision=deny outcome=denied\n"),
+    ("Alice", ("removeConstraint", "excludes", "variant:Kerberos", "variant:Windows"), 0,
+     "removeConstraint(excludes, variant:Kerberos, variant:Windows) "
+     "decision=allow outcome=applied\n"),
+    ("Alice", ("removeConstraint", "requires", "variant:CPU", "vp:CPU VP"), 1,
+     "removeConstraint(requires, variant:CPU, vp:CPU VP) "
+     "decision=deny outcome=denied\n"),
+)
+PINNED_FINAL_MODEL = "a6b116fbe6468e7644a7870a3668fcd7fa0d3691d9fa86ef5fdfb46581a9e983"
+
+
+def test_fixture_edits_are_pinned(example_dir, capsys):
+    model, policy = str(example_dir / "model.json"), str(example_dir / "policy.json")
+
+    def digest(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    for objects, op, out, policy_digest in PINNED_GRANTS:
+        assert run(
+            capsys, "grant", policy, "--objects", *objects, "--op", op,
+            "--role", "Grid Node Expert",
+        ) == (0, out, "")
+        assert digest(policy) == policy_digest, op
+    assert run(capsys, "assign", policy, "--user", "Helen", "--role", "Security Expert") \
+        == (0, PINNED_ASSIGN[0], "")
+    assert digest(policy) == PINNED_ASSIGN[1]
+    for user, words, code, out in PINNED_REQUESTS:
+        before = digest(model)
+        assert run(
+            capsys, "apply", model, policy, "--user", user, "--op", *words
+        ) == (code, out, ""), words
+        assert (digest(model) == before) == (code != 0)  # only an applied edit writes
+    assert {spec for _, (spec, *_), _, _ in PINNED_REQUESTS} == set(OPERATIONS)
+    assert digest(model) == PINNED_FINAL_MODEL
+
+
 # --- property: every command line ends in a bounded outcome -----------------
 
 _FIXTURE_DOCUMENTS = {

@@ -206,6 +206,35 @@ class TestPolicyDocuments:
         with pytest.raises(StructuralViolation):
             load_policy(text)
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (
+                {"roles": ["R"], "user_assignments": [{"user": "u", "role": "R"}]},
+                "assignment names unregistered user 'u'",
+            ),
+            (
+                {"users": ["u"], "user_assignments": [{"user": "u", "role": "R"}]},
+                "assignment names unregistered role 'R'",
+            ),
+            (
+                {"operations": ["read"],
+                 "grants": [{"objects": [], "operation": "read", "role": "R"}]},
+                "grant names unregistered role 'R'",
+            ),
+            (
+                {"roles": ["R"],
+                 "grants": [{"objects": [], "operation": "warp", "role": "R"}]},
+                "grant names unregistered operation 'warp'",
+            ),
+        ],
+        ids=["user", "assigned-role", "granted-role", "operation"],
+    )
+    def test_unregistered_references_are_named(self, document, message):
+        with pytest.raises(OvmRbacError) as exc:
+            load_policy(json.dumps(document))
+        assert (type(exc.value), str(exc.value)) == (StructuralViolation, message)
+
     def test_bad_object_id_is_parse_error(self):
         text = json.dumps(
             {

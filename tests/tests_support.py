@@ -84,7 +84,10 @@ def broken_structural_predicates(model: Model) -> list[str]:
 
 # --- random request generation ------------------------------------------------
 
-def random_model_request(rng: random.Random) -> OpRequest:
+def random_model_request(
+    rng: random.Random, vp_pool=VP_POOL, variant_pool=VARIANT_POOL
+) -> OpRequest:
+    """A random request naming variation points and variants from the pools."""
     op = rng.choice(
         [
             "addManVP", "addOptVP", "removeManVP", "removeOptVP",
@@ -94,8 +97,8 @@ def random_model_request(rng: random.Random) -> OpRequest:
             "addConstraint", "addConstraint", "removeConstraint",
         ]
     )
-    vp = rng.choice(VP_POOL)
-    variant = rng.choice(VARIANT_POOL)
+    vp = rng.choice(vp_pool)
+    variant = rng.choice(variant_pool)
     if op in ("addManVP", "addOptVP", "removeManVP", "removeOptVP", "removeAltGroup"):
         return OpRequest(op, (vp,))
     if op in ("addVariant", "removeVariant"):
@@ -105,7 +108,8 @@ def random_model_request(rng: random.Random) -> OpRequest:
     if op == "removeDependency":
         return OpRequest(op, (variant, vp))
     if op == "addAltGroup":
-        members = frozenset(rng.sample(VARIANT_POOL, rng.randint(1, 4)))
+        size = rng.randint(1, min(4, len(variant_pool)))
+        members = frozenset(rng.sample(variant_pool, size))
         max_card = rng.randint(0, len(members) + 1)
         min_card = rng.randint(0, max_card)
         return OpRequest(op, (members, min_card, max_card, vp))
@@ -113,9 +117,9 @@ def random_model_request(rng: random.Random) -> OpRequest:
     endpoints = []
     for _ in range(2):
         if rng.random() < 0.5:
-            endpoints.append(EndpointRef(V, rng.choice(VARIANT_POOL)))
+            endpoints.append(EndpointRef(V, rng.choice(variant_pool)))
         else:
-            endpoints.append(EndpointRef(VP, rng.choice(VP_POOL)))
+            endpoints.append(EndpointRef(VP, rng.choice(vp_pool)))
     return OpRequest(op, (kind, endpoints[0], endpoints[1]))
 
 
