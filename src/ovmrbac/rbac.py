@@ -387,31 +387,12 @@ def category_members(model: Model, category: Category) -> frozenset[ObjectId]:
     )
 
 
-def object_matches(
-    granted: ObjectId, requested: ObjectId, model: Model, operation: str
-) -> bool:
-    """Whether a granted object covers a requested one under this model.
-
-    Exact ids always match; ``set:OBJECTS`` matches everything; any other
-    category matches the element ids it currently contains. For creation
-    operations the target element does not exist yet, so the category grant
-    matches on the id's syntactic category instead.
-    """
-    if granted == requested:
-        return True
-    cat = granted.category
-    if cat is None:
-        return False
-    if cat is Category.OBJECTS:
-        return True
-    if requested.is_category:
-        return False
-    if requested in category_members(model, cat):
-        return True
-    return operation in _CREATION_OPERATIONS and requested._category is cat
-
-
 # --- queries and checks -----------------------------------------------------------
+
+def _roles(policy: Policy, user: str) -> set[str]:
+    """The roles assigned to the user."""
+    return {r for (u, r) in policy.user_assignments if u == user}
+
 
 def _grants(policy: Policy, roles: Container[str]) -> Iterator[Permission]:
     """The union of the roles' permission sets, category grants left unexpanded."""
@@ -429,8 +410,7 @@ def user_permissions(policy: Policy, user: str) -> frozenset[Permission]:
     """The union of the permission sets of every role the user holds."""
     if user not in policy.users:
         raise UnknownUser(f"user {user!r} is not registered")
-    roles = {r for (u, r) in policy.user_assignments if u == user}
-    return frozenset(_grants(policy, roles))
+    return frozenset(_grants(policy, _roles(policy, user)))
 
 
 def check_access(
@@ -442,12 +422,25 @@ def check_access(
 ) -> Decision:
     """Decide whether ``user`` may perform ``operation`` on ``obj``.
 
+    The user's grants on ``operation`` are keyed as views key them, by
+    category or by exact id text. A grant covers ``obj`` by one of four rules:
+    - it is ``set:OBJECTS``, which covers every object;
+    - its key is the key of ``obj``: the same element id or the same category;
+    - for an element id, it is a category that holds the element now;
+    - for an element id and a creation operation, whose element does not
+      exist yet, it is the category the id spells.
     Fail-closed: any unknown id simply yields Deny.
     """
-    roles = {r for (u, r) in policy.user_assignments if u == user}
-    for perm in _grants(policy, roles):
-        if perm.operation == operation and object_matches(
-            perm.object, obj, model, operation
+    key = obj.category or obj.text
+    for perm in _grants(policy, _roles(policy, user)):
+        if perm.operation != operation:
+            continue
+        granted = perm.object.category or perm.object.text
+        if granted is Category.OBJECTS or granted == key:
+            return Decision.ALLOW
+        if isinstance(granted, Category) and not obj.is_category and (
+            obj in category_members(model, granted)
+            or (operation in _CREATION_OPERATIONS and obj._category is granted)
         ):
             return Decision.ALLOW
     return Decision.DENY
