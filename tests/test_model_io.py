@@ -185,7 +185,8 @@ class TestPolicyDocuments:
         )
         with pytest.raises(StructuralViolation) as exc:
             load_policy(text)
-        assert "Ghost" in str(exc.value)
+        assert type(exc.value) is StructuralViolation
+        assert str(exc.value) == "grant names unregistered role 'Ghost'"
 
     def test_grant_with_unregistered_operation_rejected(self):
         text = json.dumps(
@@ -196,44 +197,28 @@ class TestPolicyDocuments:
                 ],
             }
         )
-        with pytest.raises(StructuralViolation):
+        with pytest.raises(StructuralViolation) as exc:
             load_policy(text)
+        assert type(exc.value) is StructuralViolation
+        assert str(exc.value) == "grant names unregistered operation 'warp'"
 
     def test_assignment_with_unregistered_user_rejected(self):
         text = json.dumps(
             {"roles": ["R"], "user_assignments": [{"user": "u", "role": "R"}]}
         )
-        with pytest.raises(StructuralViolation):
+        with pytest.raises(StructuralViolation) as exc:
             load_policy(text)
+        assert type(exc.value) is StructuralViolation
+        assert str(exc.value) == "assignment names unregistered user 'u'"
 
-    @pytest.mark.parametrize(
-        "document, message",
-        [
-            (
-                {"roles": ["R"], "user_assignments": [{"user": "u", "role": "R"}]},
-                "assignment names unregistered user 'u'",
-            ),
-            (
-                {"users": ["u"], "user_assignments": [{"user": "u", "role": "R"}]},
-                "assignment names unregistered role 'R'",
-            ),
-            (
-                {"operations": ["read"],
-                 "grants": [{"objects": [], "operation": "read", "role": "R"}]},
-                "grant names unregistered role 'R'",
-            ),
-            (
-                {"roles": ["R"],
-                 "grants": [{"objects": [], "operation": "warp", "role": "R"}]},
-                "grant names unregistered operation 'warp'",
-            ),
-        ],
-        ids=["user", "assigned-role", "granted-role", "operation"],
-    )
-    def test_unregistered_references_are_named(self, document, message):
-        with pytest.raises(OvmRbacError) as exc:
-            load_policy(json.dumps(document))
-        assert (type(exc.value), str(exc.value)) == (StructuralViolation, message)
+    def test_assignment_with_unregistered_role_rejected(self):
+        text = json.dumps(
+            {"users": ["u"], "user_assignments": [{"user": "u", "role": "R"}]}
+        )
+        with pytest.raises(StructuralViolation) as exc:
+            load_policy(text)
+        assert type(exc.value) is StructuralViolation
+        assert str(exc.value) == "assignment names unregistered role 'R'"
 
     def test_bad_object_id_is_parse_error(self):
         text = json.dumps(
