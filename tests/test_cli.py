@@ -632,7 +632,7 @@ def test_fixture_edits_are_pinned(example_dir, capsys):
             capsys, "apply", model, policy, "--user", user, "--op", *words
         ) == (code, out, ""), words
         assert (digest(model) == before) == (code != 0)  # only an applied edit writes
-    assert {spec for _, (spec, *_), _, _ in PINNED_REQUESTS} == set(OPERATIONS)
+    assert {words[0] for _, words, _, _ in PINNED_REQUESTS} == set(OPERATIONS)
     assert digest(model) == PINNED_FINAL_MODEL
 
 
