@@ -202,11 +202,10 @@ def _removal_of(relation):
 
 
 def _random_step(rng, model):
-    """A request for ``model``: often the removal of a relation it holds, else
-    a random request that names, half the time, elements the model holds.
-
-    Random pool names rarely meet in a small model, so without both a
-    relation request would seldom apply."""
+    """A request for ``model``: 30% of the time the removal of a relation it
+    holds, else a random request whose names come, half the time, from the
+    model. Pool names rarely meet in a small model, so without both, relation
+    requests would seldom apply."""
     from tests_support import random_model_request
 
     held = sorted(
