@@ -47,6 +47,7 @@ from tests_support import (
     enumerate_raw_dependency_candidates,
     expansion_allowed_triples,
     operation_menu,
+    projected_provenance,
     projected_view,
     random_model_request,
 )
@@ -321,12 +322,16 @@ class TestViewProjectionEquivalence:
                 view = views[role] = derive_view(policy, model, role, op_filter)
                 expected = projected_view(policy, model, {role}, allows)
                 assert (view.element_ids(), view.vp_stubs) == expected, role
+                expected = projected_provenance(policy, model, {role}, allows)
+                assert view.provenance == expected, role
             for user in sorted(policy.users):
                 roles = {r for u, r in policy.user_assignments if u == user}
                 mine = user_view(policy, model, user, op_filter)
                 assert mine == fold_views([views[r] for r in roles if r in views])
                 expected = projected_view(policy, model, roles, allows)
                 assert (mine.element_ids(), mine.vp_stubs) == expected, user
+                expected = projected_provenance(policy, model, roles, allows)
+                assert mine.provenance == expected, user
             with pytest.raises(NoPermissions):
                 derive_view(policy, model, "idle", op_filter)
 

@@ -438,6 +438,31 @@ def expansion_allowed_triples(policy, model) -> set[tuple[str, str, str]]:
     return allowed
 
 
+def _relations(model):
+    """(element id, variant endpoint names, variation-point endpoint names)
+    of every dependency, alternative group and constraint."""
+    for d in model.dependencies:
+        yield f"dep:{d.variant}->{d.vp}", {d.variant}, {d.vp}
+    for g in model.alt_groups:
+        yield f"altgroup:{g.vp}", set(g.variants), {g.vp}
+    for c in model.constraints:
+        ends = (c.source, c.target)
+        yield (_constraint_text(c), {r.name for r in ends if r.universe is V},
+               {r.name for r in ends if r.universe is VP})
+
+
+def _admitting_grants(policy, model, roles, allows) -> dict[str, set]:
+    """Element id -> the grants of ``roles`` passing ``allows`` that cover it,
+    materialized as in ``expansion_allowed_triples``."""
+    table = materialized_categories(model)
+    admitting: dict[str, set] = {}
+    for perm, role in policy.permission_assignments:
+        if role in roles and allows(perm.operation):
+            for text in _covered(table, perm.object.text):
+                admitting.setdefault(text, set()).add(perm)
+    return admitting
+
+
 def projected_view(policy, model, roles, allows) -> tuple[frozenset, frozenset]:
     """(visible element ids, stub names) of the view ``roles`` are granted.
 
@@ -446,26 +471,29 @@ def projected_view(policy, model, roles, allows) -> tuple[frozenset, frozenset]:
     constraint also shows its variant endpoints; its variation-point
     endpoints that no grant admits are stubs.
     """
-    table = materialized_categories(model)
-    admitted = set()
-    for perm, role in policy.permission_assignments:
-        if role in roles and allows(perm.operation):
-            admitted |= _covered(table, perm.object.text)
+    admitted = set(_admitting_grants(policy, model, roles, allows))
     visible, referenced = set(admitted), set()
-    for d in model.dependencies:
-        if f"dep:{d.variant}->{d.vp}" in admitted:
-            visible.add(f"variant:{d.variant}")
-            referenced.add(d.vp)
-    for g in model.alt_groups:
-        if f"altgroup:{g.vp}" in admitted:
-            visible |= {f"variant:{member}" for member in g.variants}
-            referenced.add(g.vp)
-    for c in model.constraints:
-        if _constraint_text(c) in admitted:
-            for ref in (c.source, c.target):
-                if ref.universe is V:
-                    visible.add(f"variant:{ref.name}")
-                else:
-                    referenced.add(ref.name)
+    for text, variants, vps in _relations(model):
+        if text in admitted:
+            visible |= {f"variant:{name}" for name in variants}
+            referenced |= vps
     shown_vps = {text[3:] for text in admitted if text.startswith("vp:")}
     return frozenset(visible), frozenset(referenced - shown_vps)
+
+
+def projected_provenance(policy, model, roles, allows) -> dict[str, frozenset]:
+    """Visible element id -> the grants behind it, in the view ``roles`` are
+    granted.
+
+    An admitted id has the filter-passing grants that cover it: its exact id,
+    its category, and ``set:OBJECTS``. A variant that visible relations carry
+    also has the union of those relations' grants.
+    """
+    admitting = _admitting_grants(policy, model, roles, allows)
+    carried: dict[str, set] = {}
+    for text, variants, _ in _relations(model):
+        for name in variants if text in admitting else ():
+            carried.setdefault(f"variant:{name}", set()).update(admitting[text])
+    for text, perms in carried.items():
+        admitting.setdefault(text, set()).update(perms)
+    return {text: frozenset(perms) for text, perms in admitting.items()}
