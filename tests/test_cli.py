@@ -517,6 +517,45 @@ def test_fixture_outputs_are_pinned(tmp_path, capsys):
     assert digests == PINNED_DIGESTS
 
 
+# SHA-256 of the stdout and DOT of ``view --role R --filter op:<id> --dot``, for
+# one operation each fixture role holds.
+PINNED_OPERATION_VIEWS = {
+    "Grid Node Expert": (
+        "remove_Variation_Point",
+        "af67e5ca0288d5f53bb95f41ed416b360096c8f0a9967d7ed3aba4f16cb6c892",
+        "55405c7962d38075382ee751d037a139f531b2fdcafbd44e8007866b63777a36",
+    ),
+    "Image Expert": (
+        "readOptDep",
+        "1300b4e91844937d039c4f24496e7def503ca2e790ccb690df818fb9bf07b634",
+        "c790ceee98568303bae49cbf11554da29605b8734e993a946be725d4d92d9d67",
+    ),
+    "Security Expert": (
+        "writeAltGroup",
+        "e52554bcd02caf7d08a0403f26cd9d308a7ab4d244e884ade52c745bffb48bf4",
+        "58a8fb9f2a2fe29ab8c8362ba2dfd073fd203769a2e92e5057d0a7158c379433",
+    ),
+}
+
+
+def test_exact_operation_views_are_pinned(example_dir, capsys):
+    model, policy = str(example_dir / "model.json"), str(example_dir / "policy.json")
+    dot = example_dir / "view.dot"
+    digests = {}
+    for role, (operation, _, _) in PINNED_OPERATION_VIEWS.items():
+        code, out, _ = run(
+            capsys, "view", model, policy, "--role", role,
+            "--filter", f"op:{operation}", "--dot", str(dot),
+        )
+        assert code == 0
+        digests[role] = (
+            operation,
+            hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(dot.read_bytes()).hexdigest(),
+        )
+    assert digests == PINNED_OPERATION_VIEWS
+
+
 # Grants the fixture policy lacks, so that every request op can apply:
 # (objects, operation) for Grid Node Expert, each with the stdout of its
 # grant and the SHA-256 of the policy.json it writes.
