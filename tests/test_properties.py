@@ -23,14 +23,20 @@ from ovmrbac import (
     add_alt_group,
     add_constraint,
     add_dependency,
+    READ_LIKE,
     add_man_vp,
     add_opt_vp,
+    add_role,
+    add_user,
     add_variant,
+    assign_user,
     check_structure,
+    derive_view,
     grant_permission2,
     load_model,
     load_policy,
     new_empty_model,
+    new_empty_policy,
     remove_alt_group,
     remove_constraint,
     remove_dependency,
@@ -40,8 +46,17 @@ from ovmrbac import (
     revoke_permission,
     save_model,
     save_policy,
+    user_view,
 )
-from ovmrbac.rbac import Category, category_object, check_access, Decision, vp_object
+from ovmrbac.rbac import (
+    READ_LIKE_OPERATIONS,
+    Category,
+    Decision,
+    ObjectId,
+    category_object,
+    check_access,
+    vp_object,
+)
 from ovmrbac.session import OpRequest, resolve_request
 
 MAN = VariabilityKind.MANDATORY
@@ -256,6 +271,64 @@ def test_applied_requests_change_exactly_their_delta(seed):
             assert (added, removed) == (expected, set())
         else:
             assert (added, removed) == (set(), expected)
+        model = after
+
+
+def _snapshot_view_policy(rng):
+    """Three roles, each with three category grants and an exact grant on a
+    pool name per kind of element, on operations the read-like filter partly
+    keeps; user ``u`` holds two of the roles."""
+    from tests_support import VARIANT_POOL, VP_POOL
+
+    categories = [f"set:{c.value}" for c in Category]
+    policy = add_user(new_empty_policy(), "u")
+    for role in ("r0", "r1", "r2"):
+        policy = add_role(policy, role)
+        vp, variant = rng.choice(VP_POOL), rng.choice(VARIANT_POOL)
+        exact = [f"vp:{vp}", f"altgroup:{vp}", f"variant:{variant}",
+                 f"dep:{variant}->{vp}"]
+        for text in rng.sample(categories, 3) + exact:
+            operation = rng.choice(("read", "readOptDep", "remove_Variant"))
+            policy = grant_permission2(policy, [ObjectId(text)], operation, role)
+    for role in ("r0", "r1"):
+        policy = assign_user(policy, "u", role)
+    return policy
+
+
+def _assert_views_match_oracles(policy, model):
+    from tests_support import projected_provenance, projected_view
+
+    cases = [(derive_view(policy, model, role), {role}, lambda op: True)
+             for role in ("r0", "r1", "r2")]
+    cases.append((user_view(policy, model, "u", READ_LIKE), {"r0", "r1"},
+                  READ_LIKE_OPERATIONS.__contains__))
+    for view, roles, allows in cases:
+        expected = projected_view(policy, model, roles, allows)
+        assert (view.element_ids(), view.vp_stubs) == expected, roles
+        assert view.provenance == projected_provenance(policy, model, roles, allows)
+
+
+# Views follow the snapshot they are given: each snapshot is viewed before and
+# after every applied request, so every snapshot is viewed more than once, and
+# each view must equal the oracles computed for its own snapshot.
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 30 - 1))
+def test_views_follow_each_snapshot(seed):
+    import random
+
+    from tests_support import apply_model_request
+
+    rng = random.Random(seed)
+    policy = _snapshot_view_policy(rng)
+    model = new_empty_model()
+    for _ in range(150):
+        request = _random_step(rng, model)
+        _assert_views_match_oracles(policy, model)
+        try:
+            after = apply_model_request(model, request)
+        except OvmRbacError:
+            continue
+        _assert_views_match_oracles(policy, after)
         model = after
 
 

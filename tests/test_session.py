@@ -1,5 +1,7 @@
 """Access-mediated execution and permission-derived views."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from ovmrbac import (
@@ -9,6 +11,7 @@ from ovmrbac import (
     Decision,
     ElementInUse,
     EndpointRef,
+    Model,
     NoPermissions,
     OutcomeStatus,
     READ_LIKE,
@@ -27,10 +30,17 @@ from ovmrbac import (
     remove_alt_group,
     remove_constraint,
     revoke_permission,
+    save_model,
     user_view,
 )
 from ovmrbac import rbac
-from ovmrbac.rbac import OPERATION_CATALOG, element_object_ids, parse_object_id
+from ovmrbac.fixture import build_example_model
+from ovmrbac.rbac import (
+    OPERATION_CATALOG,
+    element_object_ids,
+    model_elements,
+    parse_object_id,
+)
 from ovmrbac.session import (
     OpRequest,
     resolve_request,
@@ -339,6 +349,22 @@ class TestViewDynamics:
             example_policy, smaller, "Grid Node Expert", ANY_OPERATION
         )
         assert shrunk.element_ids() < view.element_ids()
+
+    def test_a_view_leaves_no_trace_on_its_model(self, example_policy):
+        # whatever a view keeps on the snapshot it read is invisible to values,
+        # fields, elements, documents and copies
+        fresh, viewed = build_example_model(), build_example_model()
+        for role in sorted(example_policy.roles):
+            derive_view(example_policy, viewed, role, ANY_OPERATION)
+        user_view(example_policy, viewed, "Bob", READ_LIKE)
+        assert viewed == fresh
+        assert (hash(viewed), repr(viewed)) == (hash(fresh), repr(fresh))
+        assert fields(viewed) == fields(fresh) == fields(Model)
+        assert len(list(model_elements(viewed))) == len(list(model_elements(fresh)))
+        assert save_model(viewed) == save_model(fresh)
+        copied = replace(viewed)
+        assert (copied, repr(copied)) == (fresh, repr(fresh))
+        assert vars(copied).keys() == vars(fresh).keys()
 
 
 class TestParsing:
