@@ -376,6 +376,23 @@ def element_object_ids(model: Model) -> frozenset[ObjectId]:
     return frozenset(ObjectId(element_text(e)) for e in model_elements(model))
 
 
+def category_index(model: Model) -> dict[Category, list[tuple]]:
+    """Each category's members in ``model``, as (element, id text) pairs.
+
+    Built on the first call for a snapshot and kept on that frozen instance
+    outside its fields, so equality, hashing, repr, ``replace`` and documents
+    never see it. An edit makes a new instance, which starts without one.
+    """
+    index = model.__dict__.get("_category_index")
+    if index is None:
+        index = {}
+        for element in model_elements(model):
+            spell, classify = _ELEMENT_RULES[type(element)]
+            index.setdefault(classify(element), []).append((element, spell(element)))
+        object.__setattr__(model, "_category_index", index)
+    return index
+
+
 def category_members(model: Model, category: Category) -> frozenset[ObjectId]:
     """The element ids currently belonging to a category."""
     if category is Category.OBJECTS:

@@ -44,11 +44,11 @@ from .rbac import (
     Policy,
     READ_LIKE_OPERATIONS,
     alt_group_object,
+    category_index,
     category_object,
     check_access,
     constraint_object,
     dependency_object,
-    element_category,
     element_text,
     model_elements,
     role_permissions,
@@ -354,20 +354,22 @@ def _build_view(
             granted.setdefault(perm.object.category or perm.object.text, set()).add(perm)
     everywhere = granted.get(Category.OBJECTS, frozenset())
     shown: dict[type, set] = defaultdict(set)
-    provenance: dict[str, set[Permission]] = {}
+    provenance: dict[str, frozenset[Permission]] = {}
 
-    def admit(element, perms: set[Permission]) -> None:
+    def admit(element, text: str, perms: frozenset[Permission]) -> None:
         shown[type(element)].add(element)
-        provenance.setdefault(element_text(element), set()).update(perms)
+        held = provenance.get(text)
+        provenance[text] = perms if held is None else held | perms
 
-    # Dangling element grants match no element and stay inert.
-    for element in model_elements(model):
-        category = element_category(element)
-        perms = everywhere.union(
-            granted.get(element_text(element), ()), granted.get(category, ())
-        )
-        if perms:
-            admit(element, perms)
+    # One admitting set per category, shared by its members; an element adds
+    # its exact-id grants. Dangling element grants match no element.
+    for category, pairs in category_index(model).items():
+        admitting = frozenset(everywhere.union(granted.get(category, ())))
+        for element, text in pairs:
+            exact = granted.get(text)
+            perms = admitting.union(exact) if exact else admitting
+            if perms:
+                admit(element, text, perms)
 
     # Visible relations carry their variant endpoints along; variation-point
     # endpoints that no permission admits become stubs with the kind hidden.
@@ -377,7 +379,8 @@ def _build_view(
         constraints=frozenset(shown[Constraint]),
     )
     for name, relation in ovm.references(relations, Universe.VARIANT):
-        admit(Variant(name), provenance[element_text(relation)])
+        variant = Variant(name)
+        admit(variant, element_text(variant), provenance[element_text(relation)])
     referenced_vps = {name for name, _ in ovm.references(relations, Universe.VP)}
 
     return ViewModel(
@@ -387,7 +390,7 @@ def _build_view(
         alt_groups=relations.alt_groups,
         constraints=relations.constraints,
         vp_stubs=frozenset(referenced_vps - {p.name for p in shown[VariationPoint]}),
-        provenance={k: frozenset(v) for k, v in provenance.items()},
+        provenance=provenance,
     )
 
 
