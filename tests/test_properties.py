@@ -16,6 +16,7 @@ from ovmrbac import (
     Dependency,
     EndpointRef,
     OvmRbacError,
+    READ_LIKE,
     Universe,
     VariabilityKind,
     Variant,
@@ -23,7 +24,6 @@ from ovmrbac import (
     add_alt_group,
     add_constraint,
     add_dependency,
-    READ_LIKE,
     add_man_vp,
     add_opt_vp,
     add_role,

@@ -492,8 +492,9 @@ def projected_provenance(policy, model, roles, allows) -> dict[str, frozenset]:
     admitting = _admitting_grants(policy, model, roles, allows)
     carried: dict[str, set] = {}
     for text, variants, _ in _relations(model):
-        for name in variants if text in admitting else ():
-            carried.setdefault(f"variant:{name}", set()).update(admitting[text])
+        if text in admitting:
+            for name in variants:
+                carried.setdefault(f"variant:{name}", set()).update(admitting[text])
     for text, perms in carried.items():
         admitting.setdefault(text, set()).update(perms)
     return {text: frozenset(perms) for text, perms in admitting.items()}
