@@ -556,6 +556,38 @@ def test_exact_operation_views_are_pinned(example_dir, capsys):
     assert digests == PINNED_OPERATION_VIEWS
 
 
+def test_a_view_lists_the_excludes_direction_it_holds(tmp_path, capsys):
+    # the role holds only the vp -> variant direction of an excludes pair
+    # added as variant -> vp, so its view must list that direction alone
+    model = ovmrbac.add_variant(ovmrbac.add_man_vp(ovmrbac.new_empty_model(), "P"), "a")
+    model = ovmrbac.add_constraint(
+        model, ovmrbac.ConstraintKind.EXCLUDES,
+        ovmrbac.EndpointRef(ovmrbac.Universe.VARIANT, "a"),
+        ovmrbac.EndpointRef(ovmrbac.Universe.VP, "P"),
+    )
+    policy = ovmrbac.add_role(ovmrbac.new_empty_policy(), "R")
+    policy = ovmrbac.grant_permission2(
+        policy, [ovmrbac.ObjectId("set:EXCLUDES_VP_V")], "read", "R"
+    )
+    (tmp_path / "model.json").write_text(save_model(model))
+    (tmp_path / "policy.json").write_text(save_policy(policy))
+    dot = tmp_path / "view.dot"
+    code, out, _ = run(
+        capsys, "view", str(tmp_path / "model.json"), str(tmp_path / "policy.json"),
+        "--role", "R", "--dot", str(dot),
+    )
+    assert code == 0
+    view = json.loads(out)["view"]
+    assert view["constraints"] == [{
+        "kind": "excludes",
+        "from": {"universe": "vp", "name": "P"},
+        "to": {"universe": "variant", "name": "a"},
+    }]
+    assert list(view["provenance"]) == ["constraint:excludes:vp:P:variant:a", "variant:a"]
+    edges = [line for line in dot.read_text().splitlines() if "->" in line]
+    assert edges == ['  "vp:P" -> "variant:a" [style=dashed, dir=both, label="excludes"];']
+
+
 # Grants the fixture policy lacks, so that every request op can apply:
 # (objects, operation) for Grid Node Expert, each with the stdout of its
 # grant and the SHA-256 of the policy.json it writes.

@@ -324,6 +324,8 @@ class TestViewProjectionEquivalence:
                 assert (view.element_ids(), view.vp_stubs) == expected, role
                 expected = projected_provenance(policy, model, {role}, allows)
                 assert view.provenance == expected, role
+                again = derive_view(policy, view, role, op_filter)
+                assert (again, hash(again)) == (view, hash(view)), role
             for user in sorted(policy.users):
                 roles = {r for u, r in policy.user_assignments if u == user}
                 mine = user_view(policy, model, user, op_filter)
@@ -332,6 +334,8 @@ class TestViewProjectionEquivalence:
                 assert (mine.element_ids(), mine.vp_stubs) == expected, user
                 expected = projected_provenance(policy, model, roles, allows)
                 assert mine.provenance == expected, user
+                again = user_view(policy, mine, user, op_filter)
+                assert (again, hash(again)) == (mine, hash(mine)), user
             with pytest.raises(NoPermissions):
                 derive_view(policy, model, "idle", op_filter)
 

@@ -48,6 +48,7 @@ from ovmrbac import (
     save_policy,
     user_view,
 )
+from ovmrbac.model_io import model_to_document
 from ovmrbac.rbac import (
     READ_LIKE_OPERATIONS,
     Category,
@@ -306,6 +307,14 @@ def _assert_views_match_oracles(policy, model):
         expected = projected_view(policy, model, roles, allows)
         assert (view.element_ids(), view.vp_stubs) == expected, roles
         assert view.provenance == projected_provenance(policy, model, roles, allows)
+        # the document lists each visible constraint closure by a held member
+        for row in model_to_document(view)["constraints"]:
+            source, target = (
+                EndpointRef(Universe(row[end]["universe"]), row[end]["name"])
+                for end in ("from", "to")
+            )
+            listed = Constraint(ConstraintKind(row["kind"]), source, target)
+            assert listed in view.constraints, roles
 
 
 # Views follow the snapshot they are given: each snapshot is viewed before and

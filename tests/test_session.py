@@ -364,7 +364,42 @@ class TestViewDynamics:
         assert save_model(viewed) == save_model(fresh)
         copied = replace(viewed)
         assert (copied, repr(copied)) == (fresh, repr(fresh))
-        assert vars(copied).keys() == vars(fresh).keys()
+        assert vars(viewed).keys() == vars(copied).keys() == vars(fresh).keys()
+
+    def test_a_kept_log_keeps_bare_snapshots(self, example_model, example_policy):
+        # each snapshot a log keeps was viewed, and holds its fields alone
+        session = Session("Alice", example_model, example_policy)
+        requests = [
+            OpRequest("addManVP", ("New VP",)),
+            OpRequest("addManVP", ("New VP",)),  # duplicate -> rejected
+            OpRequest("addVariant", ("v",)),  # no grant -> denied
+            OpRequest("addManVP", ("Other VP",)),
+            OpRequest("removeManVP", ("New VP",)),
+        ]
+        for request in requests:
+            execute(session, request)
+            user_view(example_policy, session.model, "Alice", READ_LIKE)
+        kept = [entry.outcome.model for entry in session.log if entry.outcome.applied]
+        assert len(kept) == 3
+        names = {f.name for f in fields(Model)}
+        assert [vars(model).keys() for model in kept] == [names] * len(kept)
+
+    def test_views_are_values(self, example_model, example_policy):
+        # a view hashes like any model-shaped value, and viewing it again
+        # under the same grants and filter gives it back
+        copy = replace(example_model)
+        filters = [ANY_OPERATION, READ_LIKE, *map(exact_operation, OPERATION_CATALOG)]
+        derivations = [
+            *((derive_view, role) for role in sorted(example_policy.roles)),
+            *((user_view, user) for user in sorted(example_policy.users)),
+        ]
+        for op_filter in filters:
+            for derive, subject in derivations:
+                view = derive(example_policy, example_model, subject, op_filter)
+                equal = derive(example_policy, copy, subject, op_filter)
+                assert (equal, hash(equal)) == (view, hash(view)), subject
+                again = derive(example_policy, view, subject, op_filter)
+                assert (again, hash(again)) == (view, hash(view)), subject
 
 
 class TestParsing:
