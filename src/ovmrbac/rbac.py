@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
@@ -376,20 +377,17 @@ def element_object_ids(model: Model) -> frozenset[ObjectId]:
     return frozenset(ObjectId(element_text(e)) for e in model_elements(model))
 
 
+@lru_cache(maxsize=1)
 def category_index(model: Model) -> dict[Category, list[tuple]]:
     """Each category's members in ``model``, as (element, id text) pairs.
 
-    Built on the first call for a snapshot and kept on that frozen instance
-    outside its fields, so equality, hashing, repr, ``replace`` and documents
-    never see it. An edit makes a new instance, which starts without one.
+    The last snapshot's index is kept, keyed by the snapshot's value: views
+    of one snapshot build it once, and an edit's new snapshot replaces it.
     """
-    index = model.__dict__.get("_category_index")
-    if index is None:
-        index = {}
-        for element in model_elements(model):
-            spell, classify = _ELEMENT_RULES[type(element)]
-            index.setdefault(classify(element), []).append((element, spell(element)))
-        object.__setattr__(model, "_category_index", index)
+    index = {}
+    for element in model_elements(model):
+        spell, classify = _ELEMENT_RULES[type(element)]
+        index.setdefault(classify(element), []).append((element, spell(element)))
     return index
 
 

@@ -337,7 +337,7 @@ class ViewModel(Model):
     """
 
     vp_stubs: frozenset[str] = frozenset()
-    provenance: Mapping[str, frozenset[Permission]] = field(default_factory=dict)
+    provenance: Mapping[str, frozenset[Permission]] = field(default_factory=dict, hash=False)
 
     def element_ids(self) -> frozenset[str]:
         """Canonical ids of every visible element (stubs excluded)."""
