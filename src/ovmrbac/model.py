@@ -610,10 +610,12 @@ def list_constraints(
 
 
 def stored_constraints(model: Model) -> list[Constraint]:
-    """Sorted constraints as documents and DOT text list them: each closure
-    once, as its least member by ``sort_key``; loading adds the closures back."""
-    stored = {
-        min(closure, key=Constraint.sort_key) if len(closure) > 1 else closure[0]
-        for closure in map(Constraint.closure, model.constraints)
-    }
+    """Sorted constraints as documents and DOT text list them: each held closure
+    once, as its least held member by ``sort_key``; loading adds closures back.
+    A view may hold one direction of an excludes pair alone."""
+    stored = [
+        c for c in model.constraints
+        if not (mirror := c.closure()[1:])  # a requires closure is c alone
+        or c.sort_key() <= mirror[0].sort_key() or mirror[0] not in model.constraints
+    ]
     return sorted(stored, key=Constraint.sort_key)
