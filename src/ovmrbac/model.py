@@ -611,8 +611,7 @@ def list_constraints(
 
 def stored_constraints(model: Model) -> list[Constraint]:
     """Sorted constraints as documents and DOT text list them: each held closure
-    once, as its least held member by ``sort_key``; loading adds closures back.
-    A view may hold one direction of an excludes pair alone."""
+    once, by its least held member (``sort_key``); loading adds closures back."""
     stored = [
         c for c in model.constraints
         if not (mirror := c.closure()[1:])  # a requires closure is c alone

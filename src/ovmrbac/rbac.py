@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import lru_cache
 from itertools import chain
 from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
@@ -356,6 +355,8 @@ _COMPONENTS: dict[Category, str] = {
     **dict.fromkeys(_CONSTRAINT_CATEGORIES.values(), "constraints"),
 }
 
+_last_index: list = [None, None]  # category_index's snapshot and its index
+
 
 def element_text(element) -> str:
     """The canonical object-id spelling of a model element."""
@@ -377,17 +378,17 @@ def element_object_ids(model: Model) -> frozenset[ObjectId]:
     return frozenset(ObjectId(element_text(e)) for e in model_elements(model))
 
 
-@lru_cache(maxsize=1)
 def category_index(model: Model) -> dict[Category, list[tuple]]:
-    """Each category's members in ``model``, as (element, id text) pairs.
-
-    The last snapshot's index is kept, keyed by the snapshot's value: views
-    of one snapshot build it once, and an edit's new snapshot replaces it.
-    """
-    index = {}
-    for element in model_elements(model):
-        spell, classify = _ELEMENT_RULES[type(element)]
-        index.setdefault(classify(element), []).append((element, spell(element)))
+    """Each category's members in ``model``, as (element, id text) pairs; one
+    index is kept, keyed by value, and an equal snapshot takes it over so that
+    its later calls match by identity instead of comparing every element."""
+    last, index = _last_index
+    if last != model:
+        index = {}
+        for element in model_elements(model):
+            spell, classify = _ELEMENT_RULES[type(element)]
+            index.setdefault(classify(element), []).append((element, spell(element)))
+    _last_index[:] = model, index
     return index
 
 

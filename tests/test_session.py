@@ -366,6 +366,15 @@ class TestViewDynamics:
         assert (copied, repr(copied)) == (fresh, repr(fresh))
         assert vars(viewed).keys() == vars(copied).keys() == vars(fresh).keys()
 
+    def test_equal_snapshots_share_one_index(self):
+        # the index is keyed by value, and the latest equal snapshot takes it
+        # over, so that its next calls find it by identity
+        first, second = build_example_model(), build_example_model()
+        index = rbac.category_index(first)
+        assert rbac.category_index(second) is index
+        assert rbac._last_index[0] is second
+        assert rbac.category_index(replace(second, variants=frozenset())) is not index
+
     def test_a_kept_log_keeps_bare_snapshots(self, example_model, example_policy):
         # each snapshot a log keeps was viewed, and holds its fields alone
         session = Session("Alice", example_model, example_policy)
