@@ -46,6 +46,7 @@ from tests_support import (
     enumerate_constraint_layers,
     enumerate_raw_dependency_candidates,
     expansion_allowed_triples,
+    materialized_categories,
     operation_menu,
     projected_provenance,
     projected_view,
@@ -404,3 +405,50 @@ class TestAccessDecisionEquivalence:
                 allows += len(expected)
         assert disagreements == []
         assert allows
+
+
+class TestDecisionViewAgreement:
+    """check_access and the views read one permission-assignment relation.
+
+    For every user, catalogue operation and existing element, the decision is
+    Allow exactly when the user's view under that one operation lists, in the
+    element's provenance, a grant keyed to the element: its id, its category
+    or ``set:OBJECTS``. A variant that a visible relation carries is in the
+    view without such a grant, so plain view membership is not the rule.
+    """
+
+    @staticmethod
+    def disagreements(policy, model):
+        """The (user, operation, id) triples on which the two disagree, and
+        how many triples were compared and allowed."""
+        keys = {}  # element id -> the granted object ids keyed to it
+        for name, texts in materialized_categories(model).items():
+            for text in texts:
+                keys.setdefault(text, {text}).add(f"set:{name}")
+        found, compared, allows = [], 0, 0
+        for user in sorted(policy.users):
+            for operation in OPERATION_CATALOG:
+                view = user_view(policy, model, user, exact_operation(operation))
+                for text in sorted(keys):
+                    viewed = any(
+                        perm.object.text in keys[text]
+                        for perm in view.provenance.get(text, ())
+                    )
+                    got = check_access(policy, model, user, operation, ObjectId(text))
+                    if (got is Decision.ALLOW) != viewed:
+                        found.append((user, operation, text))
+                    compared += 1
+                    allows += viewed
+        return found, compared, allows
+
+    def test_on_the_fixture(self, example_model, example_policy):
+        found, compared, allows = self.disagreements(example_policy, example_model)
+        assert found == []
+        assert compared == 3 * len(OPERATION_CATALOG) * 49 and allows
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_on_random_policies(self, seed):
+        _, model, policy = view_case(seed)
+        found, compared, allows = self.disagreements(policy, model)
+        assert found == []
+        assert compared and allows
