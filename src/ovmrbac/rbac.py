@@ -429,34 +429,40 @@ def user_permissions(policy: Policy, user: str) -> frozenset[Permission]:
     return frozenset(_grants(policy, _roles(policy, user)))
 
 
+def keyed_grants(
+    permissions: Iterable[Permission], operations: Container[str] | None = None
+) -> dict[Category | str, set[Permission]]:
+    """The permissions on ``operations`` (None: any), keyed as decisions and
+    views read them: by the category a ``set:`` id names, else by id text."""
+    keyed: dict[Category | str, set[Permission]] = {}
+    for perm in permissions:
+        if operations is None or perm.operation in operations:
+            keyed.setdefault(perm.object.category or perm.object.text, set()).add(perm)
+    return keyed
+
+
 def check_access(
-    policy: Policy,
-    model: Model,
-    user: str,
-    operation: str,
-    obj: ObjectId,
+    policy: Policy, model: Model, user: str, operation: str, obj: ObjectId
 ) -> Decision:
     """Decide whether ``user`` may perform ``operation`` on ``obj``.
 
-    The user's grants on ``operation`` are keyed as views key them, by
-    category or by exact id text. A grant covers ``obj`` by one of four rules:
+    The user's grants on ``operation`` are keyed as views key them
+    (``keyed_grants``). A grant covers ``obj`` by one of four rules:
     - it is ``set:OBJECTS``, which covers every object;
     - its key is the key of ``obj``: the same element id or the same category;
-    - for an element id, it is a category that holds the element now;
     - for an element id and a creation operation, whose element does not
-      exist yet, it is the category the id spells.
+      exist yet, it is the category the id spells;
+    - for an element id, it is a category that holds the element now.
     Fail-closed: any unknown id simply yields Deny.
     """
-    key = obj.category or obj.text
-    for perm in _grants(policy, _roles(policy, user)):
-        if perm.operation != operation:
-            continue
-        granted = perm.object.category or perm.object.text
-        if granted is Category.OBJECTS or granted == key:
-            return Decision.ALLOW
-        if isinstance(granted, Category) and not obj.is_category and (
-            obj in category_members(model, granted)
-            or (operation in _CREATION_OPERATIONS and obj._category is granted)
-        ):
-            return Decision.ALLOW
-    return Decision.DENY
+    grants = keyed_grants(_grants(policy, _roles(policy, user)), (operation,))
+    if Category.OBJECTS in grants or (obj.category or obj.text) in grants:
+        return Decision.ALLOW
+    if obj.is_category:
+        return Decision.DENY
+    if operation in _CREATION_OPERATIONS and obj._category in grants:
+        return Decision.ALLOW
+    held = any(
+        obj in category_members(model, c) for c in grants if isinstance(c, Category)
+    )
+    return Decision.ALLOW if held else Decision.DENY

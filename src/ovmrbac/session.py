@@ -50,6 +50,7 @@ from .rbac import (
     constraint_object,
     dependency_object,
     element_text,
+    keyed_grants,
     model_elements,
     role_permissions,
     user_permissions,
@@ -313,9 +314,6 @@ class OperationFilter:
 
     operations: frozenset[str] | None = None
 
-    def allows(self, operation: str) -> bool:
-        return self.operations is None or operation in self.operations
-
 
 ANY_OPERATION = OperationFilter()
 READ_LIKE = OperationFilter(READ_LIKE_OPERATIONS)
@@ -347,11 +345,7 @@ class ViewModel(Model):
 def _build_view(
     permissions: frozenset[Permission], model: Model, op_filter: OperationFilter
 ) -> ViewModel:
-    # The permissions that pass the filter, keyed by category or by exact id.
-    granted: dict[object, set[Permission]] = {}
-    for perm in permissions:
-        if op_filter.allows(perm.operation):
-            granted.setdefault(perm.object.category or perm.object.text, set()).add(perm)
+    granted = keyed_grants(permissions, op_filter.operations)
     everywhere = granted.get(Category.OBJECTS, frozenset())
     shown: dict[type, set] = defaultdict(set)
     provenance: dict[str, frozenset[Permission]] = {}

@@ -63,35 +63,53 @@ MUTANTS = (
     # --- the access decision -------------------------------------------------
     Mutant(
         "no-creation-rule", "rbac.py",
-        "or (operation in _CREATION_OPERATIONS and obj._category is granted)",
-        "or False",
+        "if operation in _CREATION_OPERATIONS and obj._category in grants:",
+        "if False:",
         "a category grant never covers an element that a creation operation "
         "names and that does not exist yet",
     ),
     Mutant(
         "creation-rule-for-every-operation", "rbac.py",
-        "operation in _CREATION_OPERATIONS and obj._category is granted",
-        "obj._category is granted",
+        "operation in _CREATION_OPERATIONS and obj._category in grants",
+        "obj._category in grants",
         "the category an id spells covers it under every operation, so a "
         "grant covers elements that do not exist",
     ),
     Mutant(
         "objects-skips-category-ids", "rbac.py",
-        "if granted is Category.OBJECTS or granted == key:",
-        "if granted is Category.OBJECTS and not obj.is_category or granted == key:",
+        "if Category.OBJECTS in grants or (obj.category or obj.text) in grants:",
+        "if Category.OBJECTS in grants and not obj.is_category"
+        " or (obj.category or obj.text) in grants:",
         "a grant on set:OBJECTS does not cover a category id",
     ),
     Mutant(
         "no-exact-category-match", "rbac.py",
-        "if granted is Category.OBJECTS or granted == key:",
-        "if granted is Category.OBJECTS or granted == key and not obj.is_category:",
+        "if Category.OBJECTS in grants or (obj.category or obj.text) in grants:",
+        "if Category.OBJECTS in grants or obj.text in grants:",
         "a grant on a category id does not cover that same id",
     ),
     Mutant(
         "first-role-only", "rbac.py",
-        "for perm in _grants(policy, _roles(policy, user)):",
-        "for perm in _grants(policy, sorted(_roles(policy, user))[:1]):",
+        "grants = keyed_grants(_grants(policy, _roles(policy, user)), (operation,))",
+        "grants = keyed_grants(\n"
+        "        _grants(policy, sorted(_roles(policy, user))[:1]), (operation,)\n"
+        "    )",
         "a decision reads the grants of the user's first role alone",
+    ),
+    # --- the grant rule that decisions and views share -------------------------
+    Mutant(
+        "grants-of-any-operation", "rbac.py",
+        "if operations is None or perm.operation in operations:",
+        "if True:",
+        "a grant on one operation covers every operation, in decisions and "
+        "in views",
+    ),
+    Mutant(
+        "category-grants-keyed-by-text", "rbac.py",
+        "keyed.setdefault(perm.object.category or perm.object.text, set()).add(perm)",
+        "keyed.setdefault(perm.object.text, set()).add(perm)",
+        "a category grant is keyed by its id text, so it covers no member of "
+        "its category",
     ),
     # --- views ---------------------------------------------------------------
     Mutant(
