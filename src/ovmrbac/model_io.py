@@ -270,8 +270,8 @@ def export_dot(model: Model, view: Model | None = None) -> str:
     Variation points are triangles, variants boxes; mandatory dependencies
     are solid edges, optional ones dashed; group edges carry the selection
     cardinality; requires is a dashed directed edge, excludes one dashed
-    bidirectional edge per unordered pair. Views omit invisible elements
-    and grey out stub variation points.
+    bidirectional edge per unordered pair. Views omit invisible elements and
+    grey out stub variation points; ``model`` is not read when ``view`` is given.
     """
     shown = view or model
     stubs = getattr(shown, "vp_stubs", frozenset())

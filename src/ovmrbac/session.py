@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sized
 
 from . import model as ovm
@@ -329,9 +330,9 @@ class ViewModel(Model):
 
     A model, plus the names of variation points that visible relations
     reference without any permission admitting them (stubs), and
-    per-element provenance: which permissions admitted each element. A view
-    makes no well-formedness claim of its own; it is an induced
-    substructure of a valid model.
+    per-element provenance, read-only: which permissions admitted each
+    element. A view makes no well-formedness claim of its own; it is an
+    induced substructure of a valid model.
     """
 
     vp_stubs: frozenset[str] = frozenset()
@@ -384,7 +385,7 @@ def _build_view(
         alt_groups=relations.alt_groups,
         constraints=relations.constraints,
         vp_stubs=frozenset(referenced_vps - {p.name for p in shown[VariationPoint]}),
-        provenance=provenance,
+        provenance=MappingProxyType(provenance),
     )
 
 

@@ -155,6 +155,13 @@ MUTANTS = (
         "    }",
         "a visible constraint's hidden variation-point endpoint is no stub",
     ),
+    Mutant(
+        "provenance-writable", "session.py",
+        "provenance=MappingProxyType(provenance),",
+        "provenance=provenance,",
+        "a view's provenance can be changed after it is built, so it can "
+        "drift from an equal view and from its own hash",
+    ),
     # --- the view index --------------------------------------------------------
     Mutant(
         "index-never-rebuilt", "rbac.py",

@@ -255,8 +255,12 @@ class TestDotExport:
     def test_empty_model(self):
         assert export_dot(new_empty_model()) == "digraph ovm {\n}\n"
 
-    def test_determinism(self, example_model):
+    def test_determinism(self, example_model, example_policy):
         assert export_dot(example_model) == export_dot(example_model)
+        # a view is drawn from itself alone: the model is not read
+        for role in sorted(example_policy.roles):
+            view = derive_view(example_policy, example_model, role)
+            assert export_dot(view) == export_dot(example_model, view), role
 
     def test_view_export_greys_stubs(self, example_model, example_policy):
         view = derive_view(example_policy, example_model, "Security Expert", READ_LIKE)

@@ -409,6 +409,13 @@ class TestViewDynamics:
                 assert (equal, hash(equal)) == (view, hash(view)), subject
                 again = derive(example_policy, view, subject, op_filter)
                 assert (again, hash(again)) == (view, hash(view)), subject
+                # provenance is read-only, so a view cannot drift from an
+                # equal one or from its own hash
+                with pytest.raises(TypeError):
+                    view.provenance["vp:New VP"] = frozenset()
+                with pytest.raises(AttributeError):
+                    view.provenance.clear()
+                assert view == equal and equal in {view}, subject
 
 
 class TestParsing:
