@@ -14,9 +14,8 @@ Runs are deterministic: ``PYTHONHASHSEED=1``, a fixed hypothesis seed, no
 cache and no bytecode written, and ``-x`` over the test modules in a fixed
 order, the fast killers first.
 
-    python tests/mutants.py                    # every mutant
-    python tests/mutants.py --check            # only find each old text once
-    python tests/mutants.py NAME [NAME ...]    # the named mutants
+    python tests/mutants.py            # run every mutant
+    python tests/mutants.py --check    # only find each old text once
 
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
@@ -218,7 +217,7 @@ def mutated(source: str, mutant: Mutant) -> str:
     return source.replace(mutant.old, mutant.new)
 
 
-def check_texts(root: Path, mutants) -> list[str]:
+def check_texts(root: Path, mutants: tuple[Mutant, ...]) -> list[str]:
     """One error line per mutant whose old text is not found exactly once."""
     errors = []
     for mutant in mutants:
@@ -253,21 +252,16 @@ def run_tests(copy: Path) -> tuple[int, str | None, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
     parser.add_argument(
         "--check", action="store_true", help="only check that each old text occurs once"
     )
     args = parser.parse_args(argv)
-    known = {m.name for m in MUTANTS}
-    if len(known) != len(MUTANTS) or not set(args.names) <= known:
-        parser.error(f"unknown or repeated mutant names; known: {', '.join(sorted(known))}")
-    mutants = [m for m in MUTANTS if not args.names or m.name in args.names]
 
-    errors = check_texts(ROOT, mutants)
+    errors = check_texts(ROOT, MUTANTS)
     for error in errors:
         print(error)
     if errors or args.check:
-        print(f"{len(mutants) - len(errors)} of {len(mutants)} old texts found once")
+        print(f"{len(MUTANTS) - len(errors)} of {len(MUTANTS)} old texts found once")
         return 1 if errors else 0
 
     with tempfile.TemporaryDirectory(prefix="ovmrbac-mutants-") as tmp:
@@ -284,8 +278,8 @@ def main(argv=None) -> int:
         print(f"unmutated: passed ({time.perf_counter() - start:.0f}s)", flush=True)
 
         survivors = []
-        for mutant in mutants:
-            path = copy / "src" / "ovmrbac" / mutant.module
+        for mutant in MUTANTS:
+            path = copy / PACKAGE / mutant.module
             source = path.read_text()
             path.write_text(mutated(source, mutant))
             start = time.perf_counter()
@@ -301,7 +295,7 @@ def main(argv=None) -> int:
                 print(f"SURVIVED {mutant.name} ({took}, exit {code}): {mutant.fault}")
                 if code != 0:
                     print(output)
-    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
