@@ -6,16 +6,16 @@ by another, and says what the fault means. The runner copies ``src/`` and
 ``tests/`` into a temporary directory, so nothing is written into the
 checkout. It runs the tests on the unmutated copy first, then once per
 mutant, and fails when the unmutated copy fails, when an old text is not
-found exactly once, or when a mutant survives. A mutant is killed only by a
-failing test; a mutant that cannot be imported or collected is an error of
-the catalogue, not a kill.
+found exactly once, when a test module is missing from its order, or when
+a mutant survives. A mutant is killed only by a failing test; a mutant that
+cannot be imported or collected is an error of the catalogue, not a kill.
 
 Runs are deterministic: ``PYTHONHASHSEED=1``, a fixed hypothesis seed, no
 cache and no bytecode written, and ``-x`` over the test modules in a fixed
 order, the fast killers first.
 
     python tests/mutants.py            # run every mutant
-    python tests/mutants.py --check    # only find each old text once
+    python tests/mutants.py --check    # only check the texts and the order
 
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
@@ -35,7 +35,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/ovmrbac"
 
-# Fast killers first; -x stops at the first failing test.
+# Every test module, the fast killers first; -x stops at the first failing
+# test. The runner refuses to start when a test module is missing here.
 TEST_ORDER = (
     "tests/test_rbac.py",
     "tests/test_session.py",
@@ -258,10 +259,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     errors = check_texts(ROOT, MUTANTS)
+    print(f"{len(MUTANTS) - len(errors)} of {len(MUTANTS)} old texts found once")
+    modules = {str(p.relative_to(ROOT)) for p in ROOT.glob("tests/test_*.py")}
+    if modules != set(TEST_ORDER):
+        errors.append(f"TEST_ORDER misses or names too many: {sorted(modules ^ set(TEST_ORDER))}")
     for error in errors:
         print(error)
     if errors or args.check:
-        print(f"{len(MUTANTS) - len(errors)} of {len(MUTANTS)} old texts found once")
         return 1 if errors else 0
 
     with tempfile.TemporaryDirectory(prefix="ovmrbac-mutants-") as tmp:
