@@ -15,12 +15,16 @@ import pytest
 
 from ovmrbac import (
     ANY_OPERATION,
+    ConstraintKind,
+    EndpointRef,
     Model,
     NoPermissions,
     OPERATION_CATALOG,
     ObjectId,
     OvmRbacError,
     READ_LIKE,
+    Universe,
+    VariabilityKind,
     ViewModel,
     add_role,
     add_user,
@@ -29,6 +33,7 @@ from ovmrbac import (
     check_structure,
     derive_view,
     exact_operation,
+    export_dot,
     grant_permission2,
     new_empty_model,
     new_empty_policy,
@@ -452,3 +457,111 @@ class TestDecisionViewAgreement:
         found, compared, allows = self.disagreements(policy, model)
         assert found == []
         assert compared and allows
+
+
+def reference_dot(shown):
+    """The DOT text of a model or view, spelled out from the raw components.
+
+    Nodes: variation points by (name, kind), then stubs in grey, then
+    variants, each by name. Edges: dependencies by (variant, vp, kind), group
+    member edges by group (vp, members, min, max) and then member, and each
+    held excludes closure once, by its least held direction. A backslash and
+    a quote are escaped wherever a name is quoted.
+    """
+    def escape(text):
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+
+    def vp_node(name, kind):
+        attrs = [f'label="VP\\n{escape(name)}"', "shape=triangle"]
+        if kind == "optional":
+            attrs.append("style=dashed")
+        if kind is None:
+            attrs += ["color=gray", "fontcolor=gray"]
+        return f'  "{escape("vp:" + name)}" [{", ".join(attrs)}];'
+
+    def edge(source, target, attrs):
+        return f'  "{escape(source)}" -> "{escape(target)}" [{attrs}];'
+
+    def key(c):
+        return (c.kind.value, c.source.universe.value, c.source.name,
+                c.target.universe.value, c.target.name)
+
+    keys = {key(c) for c in shown.constraints}
+    lines = ["digraph ovm {"]
+    for name, kind in sorted((p.name, p.kind.value) for p in shown.variation_points):
+        lines.append(vp_node(name, kind))
+    lines += [vp_node(name, None) for name in sorted(getattr(shown, "vp_stubs", ()))]
+    for name in sorted(v.name for v in shown.variants):
+        lines.append(f'  "{escape("variant:" + name)}" [label="V\\n{escape(name)}", shape=box];')
+    for variant, vp, kind in sorted((d.variant, d.vp, d.kind.value) for d in shown.dependencies):
+        style = "solid" if kind == "mandatory" else "dashed"
+        lines.append(edge(f"variant:{variant}", f"vp:{vp}", f"style={style}"))
+    groups = sorted((g.vp, sorted(g.variants), g.min_card, g.max_card) for g in shown.alt_groups)
+    for vp, members, low, high in groups:
+        for member in members:
+            label = f'style=dashed, label="[{low}..{high}]"'
+            lines.append(edge(f"variant:{member}", f"vp:{vp}", label))
+    for kind, su, sn, tu, tn in sorted(keys):
+        mirror = (kind, tu, tn, su, sn)
+        if kind == "excludes" and mirror < (kind, su, sn, tu, tn) and mirror in keys:
+            continue  # drawn once, by its least held direction
+        attrs = 'dir=both, label="excludes"' if kind == "excludes" else 'label="requires"'
+        lines.append(edge(f"{su}:{sn}", f"{tu}:{tn}", f"style=dashed, {attrs}"))
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def awkward_names_case():
+    """A model whose names hold quotes and trailing backslashes in every
+    component, with a role per category and one per element."""
+    steps = [
+        ("addManVP", ('say "hi" VP',)), ("addOptVP", ("back\\",)),
+        ("addOptVP", ('q"',)), ("addManVP", ('"\\',)),
+        *(("addVariant", (name,)) for name in ("x\\", 'y"z', "w", 'v"\\', "u")),
+        ("addDependency", ("x\\", 'say "hi" VP', VariabilityKind.MANDATORY)),
+        ("addDependency", ("u", "back\\", VariabilityKind.OPTIONAL)),
+        ("addAltGroup", (frozenset({'y"z', "w"}), 1, 1, 'q"')),
+        ("addConstraint", (ConstraintKind.REQUIRES, EndpointRef(Universe.VARIANT, "x\\"),
+                           EndpointRef(Universe.VP, 'q"'))),
+        ("addConstraint", (ConstraintKind.EXCLUDES, EndpointRef(Universe.VARIANT, 'v"\\'),
+                           EndpointRef(Universe.VP, "back\\"))),
+        ("addConstraint", (ConstraintKind.EXCLUDES, EndpointRef(Universe.VARIANT, 'y"z'),
+                           EndpointRef(Universe.VARIANT, "x\\"))),
+    ]
+    model = new_empty_model()
+    for op, args in steps:
+        model = apply_model_request(model, OpRequest(op, args))
+    policy = new_empty_policy()
+    texts = [f"set:{c.value}" for c in Category] + sorted(
+        obj.text for obj in element_object_ids(model)
+    )
+    for i, text in enumerate(texts):
+        policy = add_role(policy, f"r{i}")
+        policy = grant_permission2(policy, [ObjectId(text)], "read", f"r{i}")
+    return model, policy
+
+
+class TestDotReference:
+    """export_dot draws every view exactly as the reference renderer does."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_views_of_random_policies(self, seed):
+        rng, model, policy = view_case(seed)
+        filters = [ANY_OPERATION, READ_LIKE]
+        filters += [exact_operation(op) for op in rng.sample(OPERATION_CATALOG, 3)]
+        assert export_dot(model) == reference_dot(model)
+        for op_filter in filters:
+            views = [
+                derive_view(policy, model, role, op_filter)
+                for role in sorted(policy.roles - {"idle"})
+            ]
+            views += [user_view(policy, model, u, op_filter) for u in sorted(policy.users)]
+            for view in views:
+                assert export_dot(view) == reference_dot(view)
+
+    def test_names_with_quotes_and_backslashes(self):
+        model, policy = awkward_names_case()
+        assert 'q\\"' in reference_dot(model) and "back\\\\" in reference_dot(model)
+        assert export_dot(model) == reference_dot(model)
+        for role in sorted(policy.roles):
+            view = derive_view(policy, model, role)
+            assert export_dot(view) == reference_dot(view), role
