@@ -94,7 +94,7 @@ class VariationPoint:
         check_name(self.name)
 
     def sort_key(self) -> tuple[str, str]:
-        return (self.name, self.kind.value)
+        return (self.name, self.kind._value_)
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class Dependency:
         check_name(self.vp)
 
     def sort_key(self) -> tuple[str, str, str]:
-        return (self.variant, self.vp, self.kind.value)
+        return (self.variant, self.vp, self.kind._value_)
 
 
 @dataclass(frozen=True)
@@ -168,10 +168,10 @@ class EndpointRef:
         check_name(self.name)
 
     def __str__(self) -> str:
-        return f"{self.universe.value}:{self.name}"
+        return f"{self.universe._value_}:{self.name}"
 
     def sort_key(self) -> tuple[str, str]:
-        return (self.universe.value, self.name)
+        return (self.universe._value_, self.name)
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ class Constraint:
     target: EndpointRef
 
     def sort_key(self) -> tuple[str, str, str, str, str]:
-        return (self.kind.value, *self.source.sort_key(), *self.target.sort_key())
+        return (self.kind._value_, *self.source.sort_key(), *self.target.sort_key())
 
     def reversed(self) -> Constraint:
         return Constraint(self.kind, self.target, self.source)
@@ -611,10 +611,11 @@ def list_constraints(
 
 def stored_constraints(model: Model) -> list[Constraint]:
     """Sorted constraints as documents and DOT text list them: each held closure
-    once, by its least held member (``sort_key``); loading adds closures back."""
-    stored = [
-        c for c in model.constraints
-        if not (mirror := c.closure()[1:])  # a requires closure is c alone
-        or c.sort_key() <= mirror[0].sort_key() or mirror[0] not in model.constraints
+    once, by its least held member (``sort_key``); loading adds closures back.
+    The mirror in an excludes closure is found by its sort key, not built."""
+    held = {c.sort_key(): c for c in model.constraints}
+    return [
+        held[key] for key in sorted(held)
+        if held[key].kind is not ConstraintKind.EXCLUDES  # a closure of one
+        or key <= (mirror := (key[0], *key[3:], *key[1:3])) or mirror not in held
     ]
-    return sorted(stored, key=Constraint.sort_key)

@@ -242,26 +242,24 @@ def load_policy(text: str) -> Policy:
 
 def _escape(text: str) -> str:
     """Text for inside a DOT quoted string, backslashes and quotes escaped."""
+    if '"' not in text and "\\" not in text:
+        return text
     return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _quote(identifier: str) -> str:
-    return f'"{_escape(identifier)}"'
 
 
 def _vp_node(name: str, kind: VariabilityKind | None) -> str:
     """A variation point's node; a stub, whose kind is hidden, is grey."""
-    attrs = [f'label="VP\\n{_escape(name)}"', "shape=triangle"]
+    name, style = _escape(name), ""
     if kind is VariabilityKind.OPTIONAL:
-        attrs.append("style=dashed")
+        style = ", style=dashed"
     if kind is None:
-        attrs.append("color=gray")
-        attrs.append("fontcolor=gray")
-    return f"  {_quote('vp:' + name)} [{', '.join(attrs)}];"
+        style = ", color=gray, fontcolor=gray"
+    return f'  "vp:{name}" [label="VP\\n{name}", shape=triangle{style}];'
 
 
 def _variant_node(name: str) -> str:
-    return f"  {_quote('variant:' + name)} [label=\"V\\n{_escape(name)}\", shape=box];"
+    name = _escape(name)
+    return f'  "variant:{name}" [label="V\\n{name}", shape=box];'
 
 
 def export_dot(model: Model, view: Model | None = None) -> str:
@@ -281,30 +279,22 @@ def export_dot(model: Model, view: Model | None = None) -> str:
         lines.append(_vp_node(point.name, point.kind))
     for name in sorted(stubs):
         lines.append(_vp_node(name, None))
-    for name in list_variants(shown):
-        lines.append(_variant_node(name))
+    lines += map(_variant_node, list_variants(shown))
 
     for dep in list_dependencies(shown):
         style = "solid" if dep.kind is VariabilityKind.MANDATORY else "dashed"
-        lines.append(
-            f"  {_quote('variant:' + dep.variant)} -> {_quote('vp:' + dep.vp)} "
-            f"[style={style}];"
-        )
+        edge = f'"variant:{_escape(dep.variant)}" -> "vp:{_escape(dep.vp)}"'
+        lines.append(f"  {edge} [style={style}];")
     for group in list_alt_groups(shown):
         label = f"[{group.min_card}..{group.max_card}]"
-        for member in sorted(group.variants):
-            lines.append(
-                f"  {_quote('variant:' + member)} -> {_quote('vp:' + group.vp)} "
-                f'[style=dashed, label="{label}"];'
-            )
+        edge = f'"vp:{_escape(group.vp)}" [style=dashed, label="{label}"];'
+        lines += [f'  "variant:{_escape(m)}" -> {edge}' for m in sorted(group.variants)]
 
     for constraint in stored_constraints(shown):
-        if constraint.kind is ConstraintKind.EXCLUDES:
-            attrs = 'dir=both, label="excludes"'
-        else:
-            attrs = 'label="requires"'
+        excludes = constraint.kind is ConstraintKind.EXCLUDES
+        attrs = 'dir=both, label="excludes"' if excludes else 'label="requires"'
         lines.append(
-            f"  {_quote(str(constraint.source))} -> {_quote(str(constraint.target))} "
+            f'  "{_escape(str(constraint.source))}" -> "{_escape(str(constraint.target))}" '
             f"[style=dashed, {attrs}];"
         )
     lines.append("}")

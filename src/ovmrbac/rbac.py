@@ -43,6 +43,7 @@ from .model import (
     VariationPoint,
     Variant,
     check_name,
+    references,
 )
 
 # The fixed registry of operation ids a fresh policy starts with.
@@ -378,16 +379,54 @@ def element_object_ids(model: Model) -> frozenset[ObjectId]:
     return frozenset(ObjectId(element_text(e)) for e in model_elements(model))
 
 
-def category_index(model: Model) -> dict[Category, list[tuple]]:
-    """Each category's members in ``model``, as (element, id text) pairs; one
-    index is kept, keyed by value, and an equal snapshot takes it over so that
-    its later calls match by identity instead of comparing every element."""
+class ViewIndex(NamedTuple):
+    """What views read of one snapshot, each element spelled once: each
+    category's (member, id text) pairs, each element by its id text and each
+    variant by its name; and, built when a view first admits them, parts."""
+
+    members: dict[Category, list[tuple[object, str]]]
+    elements: dict[str, tuple[str, object]]  # id text -> component, element
+    variants: dict[str, tuple[Variant, str]]
+    parts: dict[Category | str, tuple]
+
+    def part(self, key: Category | str) -> tuple:
+        """A category, or the element an id text names: its component, members
+        and their id texts; the variants its relations name, as elements and
+        as id texts; and the names of the variation points they name."""
+        if key not in self.parts:
+            if isinstance(key, Category):
+                component, pairs = _COMPONENTS[key], self.members[key]
+            else:
+                component, element = self.elements[key]
+                pairs = [(element, key)]
+            members, texts = zip(*pairs)
+            alone = Model(**{component: frozenset(members)})
+            named = {n for n, _ in references(alone, Universe.VARIANT)}
+            carried = [self.variants.get(n) or ((v := Variant(n)), element_text(v))
+                       for n in named]
+            self.parts[key] = (
+                component, getattr(alone, component), texts,
+                frozenset(v for v, _ in carried), [text for _, text in carried],
+                {n for n, _ in references(alone, Universe.VP)},
+            )
+        return self.parts[key]
+
+
+def category_index(model: Model) -> ViewIndex:
+    """The view index of ``model``; one index is kept, keyed by value, and an
+    equal snapshot takes it over so that its later calls match by identity
+    instead of comparing every element."""
     last, index = _last_index
     if last != model:
-        index = {}
-        for element in model_elements(model):
-            spell, classify = _ELEMENT_RULES[type(element)]
-            index.setdefault(classify(element), []).append((element, spell(element)))
+        index = ViewIndex({}, {}, {}, {})
+        for component in fields(Model):
+            for element in getattr(model, component.name):
+                spell, classify = _ELEMENT_RULES[type(element)]
+                text = spell(element)
+                index.elements[text] = component.name, element
+                index.members.setdefault(classify(element), []).append((element, text))
+        for variant, text in index.members.get(Category.VARIANT, ()):
+            index.variants[variant.name] = variant, text
     _last_index[:] = model, index
     return index
 

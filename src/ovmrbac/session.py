@@ -17,25 +17,14 @@ mandatory/optional kind withheld.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sized
 
 from . import model as ovm
 from .errors import NoPermissions, OvmRbacError
-from .model import (
-    AltGroup,
-    Constraint,
-    ConstraintKind,
-    Dependency,
-    EndpointRef,
-    Model,
-    Universe,
-    VariabilityKind,
-    VariationPoint,
-    Variant,
-)
+from .model import ConstraintKind, EndpointRef, Model, Universe, VariabilityKind
 from .rbac import (
     KIND_OBJECTS,
     Category,
@@ -311,9 +300,16 @@ def execute(session: Session, request: OpRequest) -> Outcome:
 
 @dataclass(frozen=True)
 class OperationFilter:
-    """Keeps permissions whose operation is in ``operations``; None keeps all."""
+    """Keeps permissions whose operation is in ``operations``, frozen to a
+    frozenset (a string raises TypeError); None keeps all."""
 
     operations: frozenset[str] | None = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.operations, str):
+            raise TypeError("operations must be a collection of ids, not a string")
+        if self.operations is not None:
+            object.__setattr__(self, "operations", frozenset(self.operations))
 
 
 ANY_OPERATION = OperationFilter()
@@ -348,43 +344,41 @@ def _build_view(
 ) -> ViewModel:
     granted = keyed_grants(permissions, op_filter.operations)
     everywhere = granted.get(Category.OBJECTS, frozenset())
-    shown: dict[type, set] = defaultdict(set)
+    index = category_index(model)
+    shown: dict[str, set] = defaultdict(set)  # component name -> visible elements
     provenance: dict[str, frozenset[Permission]] = {}
+    carried = []  # each admitted part of the index, with the grants admitting it
 
-    def admit(element, text: str, perms: frozenset[Permission]) -> None:
-        shown[type(element)].add(element)
-        held = provenance.get(text)
-        provenance[text] = perms if held is None else held | perms
-
-    # One admitting set per category, shared by its members; an element adds
-    # its exact-id grants. Dangling element grants match no element.
-    for category, pairs in category_index(model).items():
+    # A category that some grant admits enters whole, its members sharing one
+    # admitting set; then each exact-id grant adds its element, if present.
+    for category in index.members:
         admitting = frozenset(everywhere.union(granted.get(category, ())))
-        for element, text in pairs:
-            exact = granted.get(text)
-            perms = admitting.union(exact) if exact else admitting
-            if perms:
-                admit(element, text, perms)
+        if admitting:
+            component, members, texts, *_ = part = index.part(category)
+            shown[component] |= members
+            provenance.update(dict.fromkeys(texts, admitting))
+            carried.append((part, admitting))
+    for key, perms in granted.items():
+        if key in index.elements:
+            component, members, *_ = part = index.part(key)
+            shown[component] |= members
+            provenance[key] = provenance.get(key, frozenset()).union(perms)
+            carried.append((part, provenance[key]))
 
-    # Visible relations carry their variant endpoints along; variation-point
-    # endpoints that no permission admits become stubs with the kind hidden.
-    relations = Model(
-        dependencies=frozenset(shown[Dependency]),
-        alt_groups=frozenset(shown[AltGroup]),
-        constraints=frozenset(shown[Constraint]),
-    )
-    for name, relation in ovm.references(relations, Universe.VARIANT):
-        variant = Variant(name)
-        admit(variant, element_text(variant), provenance[element_text(relation)])
-    referenced_vps = {name for name, _ in ovm.references(relations, Universe.VP)}
+    # Visible relations carry their variant endpoints along, with the grants
+    # that admitted their part (a relation in two parts carries the union);
+    # variation-point endpoints no permission admits become kindless stubs.
+    referenced_vps = set()
+    for (*_, variants, variant_texts, vps), perms in carried:
+        shown["variants"] |= variants
+        for text in variant_texts:
+            held = provenance.get(text)
+            provenance[text] = perms if held is None else held | perms
+        referenced_vps |= vps
 
     return ViewModel(
-        variation_points=frozenset(shown[VariationPoint]),
-        variants=frozenset(shown[Variant]),
-        dependencies=relations.dependencies,
-        alt_groups=relations.alt_groups,
-        constraints=relations.constraints,
-        vp_stubs=frozenset(referenced_vps - {p.name for p in shown[VariationPoint]}),
+        **{f.name: frozenset(shown[f.name]) for f in fields(Model)},
+        vp_stubs=frozenset(referenced_vps - {p.name for p in shown["variation_points"]}),
         provenance=MappingProxyType(provenance),
     )
 

@@ -127,7 +127,7 @@ MUTANTS = (
     ),
     Mutant(
         "visible-vps-as-stubs", "session.py",
-        "vp_stubs=frozenset(referenced_vps - {p.name for p in shown[VariationPoint]}),",
+        'vp_stubs=frozenset(referenced_vps - {p.name for p in shown["variation_points"]}),',
         "vp_stubs=frozenset(referenced_vps),",
         "a variation point shown in full is also listed as a stub",
     ),
@@ -138,22 +138,33 @@ MUTANTS = (
         "a user's view keeps the grants of every operation",
     ),
     Mutant(
-        "constraints-carry-no-variants", "session.py",
-        "for name, relation in ovm.references(relations, Universe.VARIANT):",
-        "for name, relation in ovm.references(\n"
-        "        Model(dependencies=relations.dependencies, alt_groups=relations.alt_groups),\n"
-        "        Universe.VARIANT,\n"
-        "    ):",
+        "constraints-carry-no-variants", "rbac.py",
+        "named = {n for n, _ in references(alone, Universe.VARIANT)}",
+        "named = {\n"
+        "                n for n, r in references(alone, Universe.VARIANT)\n"
+        "                if not isinstance(r, Constraint)\n"
+        "            }",
         "a visible constraint does not carry its variant endpoints",
     ),
     Mutant(
-        "constraints-name-no-stubs", "session.py",
-        "referenced_vps = {name for name, _ in ovm.references(relations, Universe.VP)}",
-        "referenced_vps = {\n"
-        "        name for name, relation in ovm.references(relations, Universe.VP)\n"
-        "        if not isinstance(relation, Constraint)\n"
-        "    }",
+        "constraints-name-no-stubs", "rbac.py",
+        "{n for n, _ in references(alone, Universe.VP)},",
+        "{n for n, r in references(alone, Universe.VP) if not isinstance(r, Constraint)},",
         "a visible constraint's hidden variation-point endpoint is no stub",
+    ),
+    Mutant(
+        "bulk-admit-drops-exact-grants", "session.py",
+        "if key in index.elements:",
+        "if key in index.elements and key not in provenance:",
+        "an element loses its exact-id grants when its category is also "
+        "admitted",
+    ),
+    Mutant(
+        "carry-takes-category-set", "session.py",
+        "carried.append((part, provenance[key]))",
+        "carried.append((part, provenance[key] - perms))",
+        "a variant carried by an exact-id relation takes the admitting set of "
+        "the relation's category instead of the relation's full provenance",
     ),
     Mutant(
         "provenance-writable", "session.py",
@@ -184,6 +195,12 @@ MUTANTS = (
     ),
     # --- edits and documents ---------------------------------------------------
     Mutant(
+        "escape-checks-quotes-only", "model_io.py",
+        '''if '"' not in text and "\\\\" not in text:''',
+        '''if '"' not in text:''',
+        "DOT text leaves a backslash unescaped in a name without a quote",
+    ),
+    Mutant(
         "remove-keeps-mirror", "model.py",
         "constraints=model.constraints.difference(wanted.closure())",
         "constraints=model.constraints - {wanted}",
@@ -197,10 +214,8 @@ MUTANTS = (
     ),
     Mutant(
         "stored-lists-unheld-direction", "model.py",
-        "        c for c in model.constraints\n"
-        "        if not (mirror := c.closure()[1:])",
-        "        min(c.closure(), key=Constraint.sort_key) for c in model.constraints\n"
-        "        if not (mirror := c.closure()[1:])",
+        "        held[key] for key in sorted(held)\n",
+        "        min(held[key].closure(), key=Constraint.sort_key) for key in sorted(held)\n",
         "a model holding one direction of an excludes pair lists the least "
         "direction, held or not",
     ),

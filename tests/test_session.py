@@ -13,6 +13,7 @@ from ovmrbac import (
     EndpointRef,
     Model,
     NoPermissions,
+    OperationFilter,
     OutcomeStatus,
     READ_LIKE,
     Session,
@@ -215,6 +216,22 @@ class TestDeriveView:
             ("GPU", "Processor VP")
         }
 
+    def test_a_filter_is_a_set_of_operation_ids(self, example_model, example_policy):
+        # a string would test operation ids as substrings, so that the read
+        # grants of "read" would pass for "readAltGroup"
+        exact = derive_view(
+            example_policy, example_model, "Image Expert", exact_operation("readAltGroup")
+        )
+        assert exact.element_ids() == frozenset()
+        with pytest.raises(TypeError):
+            OperationFilter("readAltGroup")
+        # any other collection is frozen
+        listed = OperationFilter(["readAltGroup", "read"])
+        assert listed.operations == frozenset({"read", "readAltGroup"})
+        assert listed == OperationFilter(frozenset(listed.operations))
+        assert OperationFilter(iter(["read"])) == exact_operation("read")
+        assert ANY_OPERATION.operations is None
+
     def test_provenance_names_the_admitting_permission(
         self, example_model, example_policy
     ):
@@ -374,6 +391,29 @@ class TestViewDynamics:
         assert rbac.category_index(second) is index
         assert rbac._last_index[0] is second
         assert rbac.category_index(replace(second, variants=frozenset())) is not index
+
+    def test_alternating_snapshots_view_as_fresh(self, example_model, example_policy):
+        # views that alternate between two unequal snapshots rebuild the index
+        # each time; each equals a view built after the cache is cleared
+        other = remove_alt_group(example_model, "CPU VP")
+        cases = [
+            (derive, subject, op_filter)
+            for op_filter in (ANY_OPERATION, READ_LIKE, exact_operation("read"))
+            for derive, subject in [
+                *((derive_view, role) for role in sorted(example_policy.roles)),
+                *((user_view, user) for user in sorted(example_policy.users)),
+            ]
+        ]
+        for _ in range(4):
+            for model in (example_model, other):
+                views = [derive(example_policy, model, s, f) for derive, s, f in cases]
+                for (derive, subject, op_filter), view in zip(cases, views):
+                    rbac._last_index[:] = [None, None]
+                    fresh = derive(example_policy, model, subject, op_filter)
+                    assert (view, view.vp_stubs) == (fresh, fresh.vp_stubs), subject
+                    assert dict(view.provenance) == dict(fresh.provenance), subject
+        # the last round's views of the second snapshot differ from the first's
+        assert views != [derive(example_policy, example_model, s, f) for derive, s, f in cases]
 
     def test_a_kept_log_keeps_bare_snapshots(self, example_model, example_policy):
         # each snapshot a log keeps was viewed, and holds its fields alone
