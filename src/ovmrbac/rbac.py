@@ -394,11 +394,8 @@ class ViewIndex(NamedTuple):
         and their id texts; the variants its relations name, as elements and
         as id texts; and the names of the variation points they name."""
         if key not in self.parts:
-            if isinstance(key, Category):
-                component, pairs = _COMPONENTS[key], self.members[key]
-            else:
-                component, element = self.elements[key]
-                pairs = [(element, key)]
+            component, element = self.elements.get(key) or (_COMPONENTS[key], None)
+            pairs = self.members[key] if element is None else [(element, key)]
             members, texts = zip(*pairs)
             alone = Model(**{component: frozenset(members)})
             named = {n for n, _ in references(alone, Universe.VARIANT)}

@@ -368,12 +368,14 @@ def _build_view(
     # Visible relations carry their variant endpoints along, with the grants
     # that admitted their part (a relation in two parts carries the union);
     # variation-point endpoints no permission admits become kindless stubs.
-    referenced_vps = set()
+    referenced_vps, unions = set(), {}  # unions: each union of two grant sets, once
     for (*_, variants, variant_texts, vps), perms in carried:
         shown["variants"] |= variants
         for text in variant_texts:
-            held = provenance.get(text)
-            provenance[text] = perms if held is None else held | perms
+            held = provenance.setdefault(text, perms)
+            if held is not perms:
+                pair = held, perms
+                provenance[text] = unions.get(pair) or unions.setdefault(pair, held | perms)
         referenced_vps |= vps
 
     return ViewModel(

@@ -120,7 +120,7 @@ MUTANTS = (
     ),
     Mutant(
         "provenance-overwritten", "session.py",
-        "provenance[text] = perms if held is None else held | perms",
+        "provenance[text] = unions.get(pair) or unions.setdefault(pair, held | perms)",
         "provenance[text] = perms",
         "a carried variant keeps the grants of its last relation instead of "
         "the union",

@@ -394,8 +394,8 @@ class TestViewDynamics:
 
     def test_alternating_snapshots_view_as_fresh(self, example_model, example_policy):
         # views that alternate between two unequal snapshots rebuild the index
-        # each time; each equals a view built after the cache is cleared
-        other = remove_alt_group(example_model, "CPU VP")
+        # on every view; each equals a view built after the cache is cleared
+        snapshots = (example_model, remove_alt_group(example_model, "CPU VP"))
         cases = [
             (derive, subject, op_filter)
             for op_filter in (ANY_OPERATION, READ_LIKE, exact_operation("read"))
@@ -404,16 +404,17 @@ class TestViewDynamics:
                 *((user_view, user) for user in sorted(example_policy.users)),
             ]
         ]
+        differ = 0
         for _ in range(4):
-            for model in (example_model, other):
-                views = [derive(example_policy, model, s, f) for derive, s, f in cases]
-                for (derive, subject, op_filter), view in zip(cases, views):
+            for derive, subject, op_filter in cases:
+                views = [derive(example_policy, m, subject, op_filter) for m in snapshots]
+                for model, view in zip(snapshots, views):
                     rbac._last_index[:] = [None, None]
                     fresh = derive(example_policy, model, subject, op_filter)
                     assert (view, view.vp_stubs) == (fresh, fresh.vp_stubs), subject
                     assert dict(view.provenance) == dict(fresh.provenance), subject
-        # the last round's views of the second snapshot differ from the first's
-        assert views != [derive(example_policy, example_model, s, f) for derive, s, f in cases]
+                differ += views[0] != views[1]
+        assert differ
 
     def test_a_kept_log_keeps_bare_snapshots(self, example_model, example_policy):
         # each snapshot a log keeps was viewed, and holds its fields alone
