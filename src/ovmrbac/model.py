@@ -187,7 +187,9 @@ class Constraint:
     target: EndpointRef
 
     def sort_key(self) -> tuple[str, str, str, str, str]:
-        return (self.kind._value_, *self.source.sort_key(), *self.target.sort_key())
+        source, target = self.source, self.target  # each endpoint as its sort_key
+        return (self.kind._value_, source.universe._value_, source.name,
+                target.universe._value_, target.name)
 
     def reversed(self) -> Constraint:
         return Constraint(self.kind, self.target, self.source)

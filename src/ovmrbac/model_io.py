@@ -257,11 +257,6 @@ def _vp_node(name: str, kind: VariabilityKind | None) -> str:
     return f'  "vp:{name}" [label="VP\\n{name}", shape=triangle{style}];'
 
 
-def _variant_node(name: str) -> str:
-    name = _escape(name)
-    return f'  "variant:{name}" [label="V\\n{name}", shape=box];'
-
-
 def export_dot(model: Model, view: Model | None = None) -> str:
     """Render the model (or a view of it) in the OVM shape conventions.
 
@@ -279,7 +274,8 @@ def export_dot(model: Model, view: Model | None = None) -> str:
         lines.append(_vp_node(point.name, point.kind))
     for name in sorted(stubs):
         lines.append(_vp_node(name, None))
-    lines += map(_variant_node, list_variants(shown))
+    names = map(_escape, list_variants(shown))
+    lines += [f'  "variant:{name}" [label="V\\n{name}", shape=box];' for name in names]
 
     for dep in list_dependencies(shown):
         style = "solid" if dep.kind is VariabilityKind.MANDATORY else "dashed"
