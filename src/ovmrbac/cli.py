@@ -31,7 +31,6 @@ from .session import (
     OutcomeStatus,
     READ_LIKE,
     Session,
-    ViewModel,
     derive_view,
     exact_operation,
     execute,
@@ -136,7 +135,7 @@ def _permission_rows(permissions) -> list[dict]:
     ]
 
 
-def _view_document(view: ViewModel) -> dict:
+def _view_document(view: rbac.ViewModel) -> dict:
     doc = model_io.model_to_document(view)
     doc["vp_stubs"] = sorted(view.vp_stubs)
     doc["provenance"] = {

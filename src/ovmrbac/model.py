@@ -71,14 +71,16 @@ _FORBIDDEN_IN_NAMES = (":", "->", "\n", "\r")
 def check_name(name: str) -> str:
     """Validate an element name; returns it unchanged.
 
-    Names must be non-empty strings without surrounding whitespace. The
-    separator tokens used by canonical object identifiers are forbidden so
-    that every identifier has exactly one parse.
+    Names are non-empty strings, without surrounding whitespace, that UTF-8 can
+    encode. The separator tokens of canonical object identifiers are forbidden
+    so that every identifier has exactly one parse.
     """
     if not isinstance(name, str) or not name:
         raise InvalidName("element name must be a non-empty string")
     if name != name.strip():
         raise InvalidName(f"element name {name!r} has leading or trailing whitespace")
+    if not name.isascii() and any("\ud800" <= c <= "\udfff" for c in name):
+        raise InvalidName(f"element name {name!r} cannot be encoded as UTF-8")
     for token in _FORBIDDEN_IN_NAMES:
         if token in name:
             raise InvalidName(f"element name {name!r} may not contain {token!r}")
@@ -170,9 +172,6 @@ class EndpointRef:
     def __str__(self) -> str:
         return f"{self.universe._value_}:{self.name}"
 
-    def sort_key(self) -> tuple[str, str]:
-        return (self.universe._value_, self.name)
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -187,7 +186,7 @@ class Constraint:
     target: EndpointRef
 
     def sort_key(self) -> tuple[str, str, str, str, str]:
-        source, target = self.source, self.target  # each endpoint as its sort_key
+        source, target = self.source, self.target
         return (self.kind._value_, source.universe._value_, source.name,
                 target.universe._value_, target.name)
 
@@ -613,8 +612,7 @@ def list_constraints(
 
 def stored_constraints(model: Model) -> list[Constraint]:
     """Sorted constraints as documents and DOT text list them: each held closure
-    once, by its least held member (``sort_key``); loading adds closures back.
-    The mirror in an excludes closure is found by its sort key, not built."""
+    once, by its least held member (``sort_key``); loading adds closures back."""
     held = {c.sort_key(): c for c in model.constraints}
     return [
         held[key] for key in sorted(held)

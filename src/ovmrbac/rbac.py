@@ -11,14 +11,21 @@ grant) do raise for unknown ids. Category grants resolve dynamically: a
 grant on ``set:MAN_VP`` covers whatever elements are mandatory variation
 points at check time, so newly added elements are covered without
 re-granting.
+
+The same keyed grants decide (``check_access``) and project views
+(``build_view``). A visible relation carries its variants along (a variant is
+just a name), and a variation point it names that no grant admits is a stub:
+its name is shown, its mandatory/optional kind withheld.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import chain
-from typing import Callable, Container, Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     AlreadyAssigned,
@@ -254,6 +261,8 @@ def new_empty_policy() -> Policy:
 def check_id(value: str, what: str) -> str:
     if not isinstance(value, str) or not value or value != value.strip():
         raise InvalidName(f"{what} id must be a non-empty trimmed string")
+    if not value.isascii() and any("\ud800" <= c <= "\udfff" for c in value):
+        raise InvalidName(f"{what} id {value!r} cannot be encoded as UTF-8")
     return value
 
 
@@ -502,3 +511,69 @@ def check_access(
         obj in category_members(model, c) for c in grants if isinstance(c, Category)
     )
     return Decision.ALLOW if held else Decision.DENY
+
+
+@dataclass(frozen=True)
+class ViewModel(Model):
+    """A role-specific projection of a model.
+
+    A model, plus the names of variation points that visible relations
+    reference without any permission admitting them (stubs), and
+    per-element provenance, read-only: which permissions admitted each
+    element. A view makes no well-formedness claim of its own; it is an
+    induced substructure of a valid model.
+    """
+
+    vp_stubs: frozenset[str] = frozenset()
+    provenance: Mapping[str, frozenset[Permission]] = field(default_factory=dict, hash=False)
+
+    def element_ids(self) -> frozenset[str]:
+        """Canonical ids of every visible element (stubs excluded)."""
+        return frozenset(map(element_text, model_elements(self)))
+
+
+def build_view(
+    permissions: Iterable[Permission], model: Model, operations: Container[str] | None
+) -> ViewModel:
+    """What the permissions on ``operations`` (None: any) admit of ``model``."""
+    granted = keyed_grants(permissions, operations)
+    everywhere = granted.get(Category.OBJECTS, frozenset())
+    index = category_index(model)
+    shown: dict[str, set] = defaultdict(set)  # component name -> visible elements
+    provenance: dict[str, frozenset[Permission]] = {}
+    carried = []  # each admitted part of the index, with the grants admitting it
+
+    # A category that some grant admits enters whole, its members sharing one
+    # admitting set; then each exact-id grant adds its element, if present.
+    for category in index.members:
+        admitting = frozenset(everywhere.union(granted.get(category, ())))
+        if admitting:
+            component, members, texts, *_ = part = index.part(category)
+            shown[component] |= members
+            provenance.update(dict.fromkeys(texts, admitting))
+            carried.append((part, admitting))
+    for key, perms in granted.items():
+        if key in index.elements:
+            component, members, *_ = part = index.part(key)
+            shown[component] |= members
+            provenance[key] = provenance.get(key, frozenset()).union(perms)
+            carried.append((part, provenance[key]))
+
+    # Visible relations carry their variant endpoints along, with the grants
+    # that admitted their part (a relation in two parts carries the union);
+    # variation-point endpoints no permission admits become kindless stubs.
+    referenced_vps, unions = set(), {}  # unions: each union of two grant sets, once
+    for (*_, variants, variant_texts, vps), perms in carried:
+        shown["variants"] |= variants
+        for text in variant_texts:
+            held = provenance.setdefault(text, perms)
+            if held is not perms:
+                pair = held, perms
+                provenance[text] = unions.get(pair) or unions.setdefault(pair, held | perms)
+        referenced_vps |= vps
+
+    return ViewModel(
+        **{f.name: frozenset(shown[f.name]) for f in fields(Model)},
+        vp_stubs=frozenset(referenced_vps - {p.name for p in shown["variation_points"]}),
+        provenance=MappingProxyType(provenance),
+    )

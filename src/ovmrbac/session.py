@@ -7,20 +7,15 @@ from precondition errors), and only on Allow is the guarded model operation
 applied. The session log records one entry per request, whatever the
 outcome.
 
-Views project a model down to the elements a role's permissions admit.
-A visible relation carries its member variants along (a variant is just a
-name, so nothing extra leaks), while a referenced variation point that no
-permission admits appears as an opaque stub: its name is shown, its
-mandatory/optional kind withheld.
+A view is asked for here by its subject (a role or a user) and an operation
+filter; ``rbac.build_view`` projects the model onto the grants that remain.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sized
+from typing import Callable, NamedTuple, Sized
 
 from . import model as ovm
 from .errors import NoPermissions, OvmRbacError
@@ -30,18 +25,15 @@ from .rbac import (
     Category,
     Decision,
     ObjectId,
-    Permission,
     Policy,
     READ_LIKE_OPERATIONS,
+    ViewModel,
     alt_group_object,
-    category_index,
+    build_view,
     category_object,
     check_access,
     constraint_object,
     dependency_object,
-    element_text,
-    keyed_grants,
-    model_elements,
     role_permissions,
     user_permissions,
     variant_object,
@@ -320,71 +312,6 @@ def exact_operation(operation: str) -> OperationFilter:
     return OperationFilter(frozenset({operation}))
 
 
-@dataclass(frozen=True)
-class ViewModel(Model):
-    """A role-specific projection of a model.
-
-    A model, plus the names of variation points that visible relations
-    reference without any permission admitting them (stubs), and
-    per-element provenance, read-only: which permissions admitted each
-    element. A view makes no well-formedness claim of its own; it is an
-    induced substructure of a valid model.
-    """
-
-    vp_stubs: frozenset[str] = frozenset()
-    provenance: Mapping[str, frozenset[Permission]] = field(default_factory=dict, hash=False)
-
-    def element_ids(self) -> frozenset[str]:
-        """Canonical ids of every visible element (stubs excluded)."""
-        return frozenset(map(element_text, model_elements(self)))
-
-
-def _build_view(
-    permissions: frozenset[Permission], model: Model, op_filter: OperationFilter
-) -> ViewModel:
-    granted = keyed_grants(permissions, op_filter.operations)
-    everywhere = granted.get(Category.OBJECTS, frozenset())
-    index = category_index(model)
-    shown: dict[str, set] = defaultdict(set)  # component name -> visible elements
-    provenance: dict[str, frozenset[Permission]] = {}
-    carried = []  # each admitted part of the index, with the grants admitting it
-
-    # A category that some grant admits enters whole, its members sharing one
-    # admitting set; then each exact-id grant adds its element, if present.
-    for category in index.members:
-        admitting = frozenset(everywhere.union(granted.get(category, ())))
-        if admitting:
-            component, members, texts, *_ = part = index.part(category)
-            shown[component] |= members
-            provenance.update(dict.fromkeys(texts, admitting))
-            carried.append((part, admitting))
-    for key, perms in granted.items():
-        if key in index.elements:
-            component, members, *_ = part = index.part(key)
-            shown[component] |= members
-            provenance[key] = provenance.get(key, frozenset()).union(perms)
-            carried.append((part, provenance[key]))
-
-    # Visible relations carry their variant endpoints along, with the grants
-    # that admitted their part (a relation in two parts carries the union);
-    # variation-point endpoints no permission admits become kindless stubs.
-    referenced_vps, unions = set(), {}  # unions: each union of two grant sets, once
-    for (*_, variants, variant_texts, vps), perms in carried:
-        shown["variants"] |= variants
-        for text in variant_texts:
-            held = provenance.setdefault(text, perms)
-            if held is not perms:
-                pair = held, perms
-                provenance[text] = unions.get(pair) or unions.setdefault(pair, held | perms)
-        referenced_vps |= vps
-
-    return ViewModel(
-        **{f.name: frozenset(shown[f.name]) for f in fields(Model)},
-        vp_stubs=frozenset(referenced_vps - {p.name for p in shown["variation_points"]}),
-        provenance=MappingProxyType(provenance),
-    )
-
-
 def derive_view(
     policy: Policy,
     model: Model,
@@ -399,7 +326,7 @@ def derive_view(
     permissions = role_permissions(policy, role)
     if not permissions:
         raise NoPermissions(f"role {role!r} has no permissions assigned")
-    return _build_view(permissions, model, op_filter)
+    return build_view(permissions, model, op_filter.operations)
 
 
 def user_view(
@@ -414,4 +341,4 @@ def user_view(
     the union of the user's role views. A user without permissions gets an
     empty view.
     """
-    return _build_view(user_permissions(policy, user), model, op_filter)
+    return build_view(user_permissions(policy, user), model, op_filter.operations)

@@ -113,28 +113,28 @@ MUTANTS = (
     ),
     # --- views ---------------------------------------------------------------
     Mutant(
-        "views-ignore-objects", "session.py",
+        "views-ignore-objects", "rbac.py",
         "everywhere = granted.get(Category.OBJECTS, frozenset())",
         "everywhere = frozenset()",
         "a view ignores grants on set:OBJECTS",
     ),
     Mutant(
-        "provenance-overwritten", "session.py",
+        "provenance-overwritten", "rbac.py",
         "provenance[text] = unions.get(pair) or unions.setdefault(pair, held | perms)",
         "provenance[text] = perms",
         "a carried variant keeps the grants of its last relation instead of "
         "the union",
     ),
     Mutant(
-        "visible-vps-as-stubs", "session.py",
+        "visible-vps-as-stubs", "rbac.py",
         'vp_stubs=frozenset(referenced_vps - {p.name for p in shown["variation_points"]}),',
         "vp_stubs=frozenset(referenced_vps),",
         "a variation point shown in full is also listed as a stub",
     ),
     Mutant(
         "user-view-ignores-filter", "session.py",
-        "return _build_view(user_permissions(policy, user), model, op_filter)",
-        "return _build_view(user_permissions(policy, user), model, ANY_OPERATION)",
+        "return build_view(user_permissions(policy, user), model, op_filter.operations)",
+        "return build_view(user_permissions(policy, user), model, ANY_OPERATION.operations)",
         "a user's view keeps the grants of every operation",
     ),
     Mutant(
@@ -153,21 +153,21 @@ MUTANTS = (
         "a visible constraint's hidden variation-point endpoint is no stub",
     ),
     Mutant(
-        "bulk-admit-drops-exact-grants", "session.py",
+        "bulk-admit-drops-exact-grants", "rbac.py",
         "if key in index.elements:",
         "if key in index.elements and key not in provenance:",
         "an element loses its exact-id grants when its category is also "
         "admitted",
     ),
     Mutant(
-        "carry-takes-category-set", "session.py",
+        "carry-takes-category-set", "rbac.py",
         "carried.append((part, provenance[key]))",
         "carried.append((part, provenance[key] - perms))",
         "a variant carried by an exact-id relation takes the admitting set of "
         "the relation's category instead of the relation's full provenance",
     ),
     Mutant(
-        "provenance-writable", "session.py",
+        "provenance-writable", "rbac.py",
         "provenance=MappingProxyType(provenance),",
         "provenance=provenance,",
         "a view's provenance can be changed after it is built, so it can "
@@ -192,6 +192,63 @@ MUTANTS = (
         "_last_index[:] = (last if last == model else model), index",
         "the first of equal snapshots stays the key, so later ones compare "
         "every element",
+    ),
+    # --- names -----------------------------------------------------------------
+    Mutant(
+        "names-allow-surrogates", "model.py",
+        'if not name.isascii() and any("\\ud800" <= c <= "\\udfff" for c in name):',
+        "if False:",
+        "an element name that UTF-8 cannot encode is accepted, and fails only "
+        "when a document or DOT text is written",
+    ),
+    Mutant(
+        "ids-allow-surrogates", "rbac.py",
+        'if not value.isascii() and any("\\ud800" <= c <= "\\udfff" for c in value):',
+        "if False:",
+        "a user, role or operation id that UTF-8 cannot encode is accepted",
+    ),
+    # --- the command line's I/O order ------------------------------------------
+    Mutant(
+        "print-before-staging", "cli.py",
+        "        for path, text in reply.writes:  # all staged before any output\n"
+        "            staged.append(_stage(path, text))\n"
+        "        sys.stdout.write(reply.out)\n",
+        "        sys.stdout.write(reply.out)\n"
+        "        for path, text in reply.writes:  # all staged before any output\n"
+        "            staged.append(_stage(path, text))\n",
+        "a command prints its output before its files are staged, so a failed "
+        "write exits 2 after printing",
+    ),
+    Mutant(
+        "rename-before-printing", "cli.py",
+        "            staged.append(_stage(path, text))\n",
+        "            os.replace(*_stage(path, text))\n",
+        "each file is replaced as soon as it is staged, before the output is "
+        "out, so a closed stdout leaves it replaced",
+    ),
+    Mutant(
+        "no-flush-before-renames", "cli.py",
+        "        sys.stdout.write(reply.out)\n"
+        "        sys.stdout.flush()\n",
+        "        sys.stdout.write(reply.out)\n",
+        "buffered output is written only at exit, after the files are replaced",
+    ),
+    Mutant(
+        "staged-temps-left", "cli.py",
+        "        for temp, _ in staged:  # a renamed file is gone from here already\n"
+        "            temp.unlink(missing_ok=True)\n",
+        "        for temp, _ in staged:  # a renamed file is gone from here already\n"
+        "            pass\n",
+        "a command that fails after staging leaves its staged files behind",
+    ),
+    Mutant(
+        "partial-temp-left", "cli.py",
+        "        except BaseException:\n"
+        "            temp.unlink(missing_ok=True)\n"
+        "            raise\n",
+        "        except BaseException:\n"
+        "            raise\n",
+        "a write that fails partway leaves its partial file behind",
     ),
     # --- edits and documents ---------------------------------------------------
     Mutant(

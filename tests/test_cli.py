@@ -1,6 +1,7 @@
 """The CLI is a thin adapter: outputs and exit codes mirror the library."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -228,6 +229,75 @@ class TestWrites:
             "model.json", "policy.json"
         ]
 
+    def test_refused_rename_after_printing_exits_two(
+        self, example_dir, capsys, monkeypatch
+    ):
+        policy = example_dir / "policy.json"
+        before = policy.read_bytes()
+
+        def refuse(source, target):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, out, err = run(
+            capsys, "grant", str(policy), "--objects", "vp:OS VP",
+            "--op", "read", "--role", "Security Expert",
+        )
+        assert code == 2
+        assert out == "granted read on 1 object(s) to Security Expert\n"
+        assert err == f"error: cannot write {policy}: Permission denied\n"
+        assert policy.read_bytes() == before
+        assert sorted(p.name for p in example_dir.iterdir()) == [
+            "model.json", "policy.json"
+        ]
+
+    def test_init_example_into_a_file_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("kept\n")
+        code, out, err = run(capsys, "init-example", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write to {target}: ")
+        assert err.count("\n") == 1
+        assert target.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_full_disk_partway_through_a_write_exits_two(
+        self, example_dir, capsys, monkeypatch
+    ):
+        """The second of two staged writes fails after writing half its text."""
+        before = {p.name: p.read_bytes() for p in example_dir.iterdir()}
+        real_fdopen, opened = os.fdopen, []
+
+        class FullDisk:
+            def __init__(self, file):
+                self.file = file
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.file.close()
+
+            def write(self, text):
+                self.file.write(text[: len(text) // 2])
+                self.file.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fdopen(fd, *args, **kwargs):
+            file = real_fdopen(fd, *args, **kwargs)
+            opened.append(file)
+            return FullDisk(file) if len(opened) == 2 else file
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        code, out, err = run(capsys, "init-example", str(example_dir))
+        assert len(opened) == 2
+        assert code == 2
+        assert out == ""
+        policy = example_dir / "policy.json"
+        assert err == f"error: cannot write {policy}: No space left on device\n"
+        assert {p.name: p.read_bytes() for p in example_dir.iterdir()} == before
+
 
 class TestGrantAssign:
     def test_grant_unknown_role_exits_two(self, example_dir, capsys):
@@ -352,6 +422,66 @@ class TestRender:
         assert code == 0
         assert out.count("shape=triangle") == 8
         assert out.count('label="excludes"') == 1
+
+
+class TestNamesUtf8CannotEncode:
+    """A name that UTF-8 cannot encode exits 2 with one error line, whether it
+    comes as a document's JSON escape or as an undecodable argument byte."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "model.json"],
+            ["render", "model.json"],
+            ["view", "model.json", "policy.json", "--user", "Alice", "--dot", "view.dot"],
+        ],
+        ids=["validate", "render", "view --dot"],
+    )
+    @pytest.mark.parametrize(
+        "component, entry",
+        [
+            ("variation_points", {"kind": "mandatory", "name": "A\ud800"}),
+            ("variants", "B\ud800"),
+        ],
+        ids=["vp", "variant"],
+    )
+    def test_document_name_exits_two(self, example_dir, argv, component, entry):
+        path = example_dir / "model.json"
+        doc = json.loads(path.read_text())
+        doc[component].append(entry)
+        path.write_text(json.dumps(doc))  # ASCII, the name a \u escape
+        before = self.files(example_dir)
+        result = self.run_process(example_dir, argv)
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: ")
+        assert b"cannot be encoded as UTF-8" in result.stderr
+        assert result.stderr.count(b"\n") == 1
+        assert self.files(example_dir) == before
+
+    def test_argument_byte_exits_two(self, example_dir):
+        before = self.files(example_dir)
+        argv = ["apply", "model.json", "policy.json", "--user", "Alice",
+                "--op", "addManVP", b"X\xff"]
+        result = self.run_process(example_dir, argv)
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: ")
+        assert result.stderr.count(b"\n") == 1
+        assert self.files(example_dir) == before
+
+    @staticmethod
+    def files(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    @staticmethod
+    def run_process(directory, argv):
+        src = Path(ovmrbac.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run(
+            [sys.executable, "-m", "ovmrbac.cli", *argv], cwd=directory,
+            env=env, capture_output=True, timeout=60,
+        )
 
 
 class TestClosedStdout:

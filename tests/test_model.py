@@ -137,6 +137,17 @@ class TestVariationPoints:
             with pytest.raises(InvalidName):
                 add_man_vp(new_empty_model(), bad)
 
+    def test_names_are_text_that_utf8_can_encode(self):
+        for good in ("Größe VP", "名前", "rocket \U0001f680"):
+            assert list_vps(add_man_vp(new_empty_model(), good)) == [good]
+        # lone surrogates, as a JSON escape or an undecodable argv byte gives
+        for bad in ("\ud800", "a\udfffb", "X\udcff", "\ud83d\ude80"):
+            with pytest.raises(InvalidName) as exc:
+                add_man_vp(new_empty_model(), bad)
+            assert str(exc.value) == f"element name {bad!r} cannot be encoded as UTF-8"
+        with pytest.raises(InvalidName):
+            add_variant(new_empty_model(), "B\ud800")
+
 
 class TestVariants:
     def test_add_variant(self):

@@ -145,6 +145,38 @@ class TestLoadingIsTotal:
         with pytest.raises(OvmRbacError):
             load_policy(json.dumps({key: [bad_id]}))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"variation_points": [{"name": "A\ud800", "kind": "mandatory"}]},
+            {"variants": ["B\ud800"]},
+        ],
+        ids=["vp", "variant"],
+    )
+    def test_names_utf8_cannot_encode(self, doc):
+        text = json.dumps(doc)  # the name as a JSON \u escape
+        assert "\\ud800" in text
+        with pytest.raises(OvmRbacError, match="cannot be encoded as UTF-8"):
+            load_model(text)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"users": ["U\ud800"]},
+            {"roles": ["R\ud800"]},
+            {"operations": ["op\ud800"]},
+            {
+                "roles": ["R"],
+                "operations": ["read"],
+                "grants": [{"role": "R", "operation": "read", "objects": ["vp:A\ud800"]}],
+            },
+        ],
+        ids=["user", "role", "operation", "object"],
+    )
+    def test_ids_utf8_cannot_encode(self, doc):
+        with pytest.raises(OvmRbacError, match="cannot be encoded as UTF-8"):
+            load_policy(json.dumps(doc))
+
     def test_check_on_a_bad_operation_id_exits_two(self, tmp_path, capsys):
         model, policy = tmp_path / "model.json", tmp_path / "policy.json"
         model.write_text(save_model(new_empty_model()))

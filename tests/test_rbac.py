@@ -7,6 +7,7 @@ from ovmrbac import (
     Category,
     Decision,
     DuplicateId,
+    InvalidName,
     NotAssigned,
     NotGranted,
     OPERATION_CATALOG,
@@ -33,6 +34,7 @@ from ovmrbac import (
 from ovmrbac.rbac import (
     alt_group_object,
     category_members,
+    check_id,
     dependency_object,
     element_object_ids,
     variant_object,
@@ -166,6 +168,15 @@ class TestAdministration:
         policy = add_role(policy, "Grid Node Expert")
         with pytest.raises(DuplicateId):
             add_role(policy, "Grid Node Expert")
+
+    def test_ids_are_text_that_utf8_can_encode(self):
+        policy = add_role(add_user(new_empty_policy(), "Jürgen"), "Prüfer")
+        assert (policy.users, policy.roles) == ({"Jürgen"}, {"Prüfer"})
+        for register in (add_user, add_role):
+            with pytest.raises(InvalidName, match="cannot be encoded as UTF-8"):
+                register(policy, "U\ud800")
+        with pytest.raises(InvalidName, match="cannot be encoded as UTF-8"):
+            check_id("op\udcff", "operation")
 
     def test_fixture_registry_sizes(self, example_policy):
         assert len(example_policy.users) == 3
