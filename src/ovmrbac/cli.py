@@ -56,6 +56,14 @@ def _fail(message: str, code: int = EXIT_USAGE) -> int:
     return code
 
 
+def _printable(text: str) -> None:
+    """Raise unless standard output's encoding takes ``text``."""
+    try:
+        text.encode(sys.stdout.encoding or "utf-8", sys.stdout.errors or "strict")
+    except UnicodeEncodeError as exc:
+        raise OvmRbacError(f"cannot write to standard output: {exc}") from None
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -147,12 +155,13 @@ def _view_document(view: rbac.ViewModel) -> dict:
 
 def cmd_init_example(args: argparse.Namespace) -> Reply:
     out_dir = Path(args.out_dir)
+    out = fixture.explain_normalization() if args.explain else ""
+    out += f"wrote {out_dir / 'model.json'} and {out_dir / 'policy.json'}\n"
+    _printable(out)  # before the directory is made
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OvmRbacError(f"cannot write to {out_dir}: {exc.strerror}") from None
-    out = fixture.explain_normalization() if args.explain else ""
-    out += f"wrote {out_dir / 'model.json'} and {out_dir / 'policy.json'}\n"
     return Reply(EXIT_OK, out, (
         (out_dir / "model.json", model_io.save_model(fixture.build_example_model())),
         (out_dir / "policy.json", model_io.save_policy(fixture.build_example_policy())),
@@ -309,6 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             sys.stdout.flush()  # --help prints, then leaves by SystemExit
         reply = args.func(args)
+        _printable(reply.out)
         for path, text in reply.writes:  # all staged before any output
             staged.append(_stage(path, text))
         sys.stdout.write(reply.out)

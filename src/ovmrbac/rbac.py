@@ -365,7 +365,8 @@ _COMPONENTS: dict[Category, str] = {
     **dict.fromkeys(_CONSTRAINT_CATEGORIES.values(), "constraints"),
 }
 
-_last_index: list = [None, None]  # category_index's snapshot and its index
+_last_index: list = [None, None]  # _category_index's snapshot and its index
+_last_policy: list = [None, None]  # _policy_index's policy and its index
 
 
 def element_text(element) -> str:
@@ -388,7 +389,7 @@ def element_object_ids(model: Model) -> frozenset[ObjectId]:
     return frozenset(ObjectId(element_text(e)) for e in model_elements(model))
 
 
-class ViewIndex(NamedTuple):
+class _ViewIndex(NamedTuple):
     """What views read of one snapshot, each element spelled once: each
     category's (member, id text) pairs, each element by its id text and each
     variant by its name; and, built when a view first admits them, parts."""
@@ -418,13 +419,13 @@ class ViewIndex(NamedTuple):
         return self.parts[key]
 
 
-def category_index(model: Model) -> ViewIndex:
+def _category_index(model: Model) -> _ViewIndex:
     """The view index of ``model``; one index is kept, keyed by value, and an
     equal snapshot takes it over so that its later calls match by identity
     instead of comparing every element."""
     last, index = _last_index
     if last != model:
-        index = ViewIndex({}, {}, {}, {})
+        index = _ViewIndex({}, {}, {}, {})
         for component in fields(Model):
             for element in getattr(model, component.name):
                 spell, classify = _ELEMENT_RULES[type(element)]
@@ -450,28 +451,47 @@ def category_members(model: Model, category: Category) -> frozenset[ObjectId]:
 
 # --- queries and checks -----------------------------------------------------------
 
-def _roles(policy: Policy, user: str) -> set[str]:
-    """The roles assigned to the user."""
-    return {r for (u, r) in policy.user_assignments if u == user}
+class _PolicyIndex(NamedTuple):
+    """A policy's user roles, role permissions and ``check_access`` entries."""
+
+    roles: dict[str, frozenset[str]]
+    grants: dict[str, frozenset[Permission]]
+    decisions: dict[tuple[str, str], tuple[dict, tuple[Category, ...]]]
 
 
-def _grants(policy: Policy, roles: Container[str]) -> Iterator[Permission]:
+def _policy_index(policy: Policy) -> _PolicyIndex:
+    """The index of ``policy``, kept as ``_category_index`` keeps a model's."""
+    last, index = _last_policy
+    if last != policy:
+        roles, grants = defaultdict(set), defaultdict(set)
+        for user, role in policy.user_assignments:
+            roles[user].add(role)
+        for perm, role in policy.permission_assignments:
+            grants[role].add(perm)
+        index = _PolicyIndex({u: frozenset(r) for u, r in roles.items()},
+                             {r: frozenset(p) for r, p in grants.items()}, {})
+    _last_policy[:] = policy, index
+    return index
+
+
+def _grants(index: _PolicyIndex, roles: Iterable[str]) -> frozenset[Permission]:
     """The union of the roles' permission sets, category grants left unexpanded."""
-    return (perm for (perm, role) in policy.permission_assignments if role in roles)
+    return frozenset().union(*(index.grants.get(role, ()) for role in roles))
 
 
 def role_permissions(policy: Policy, role: str) -> frozenset[Permission]:
     """The role's permission set, category grants left unexpanded."""
     if role not in policy.roles:
         raise UnknownRole(f"role {role!r} is not registered")
-    return frozenset(_grants(policy, {role}))
+    return _policy_index(policy).grants.get(role, frozenset())
 
 
 def user_permissions(policy: Policy, user: str) -> frozenset[Permission]:
     """The union of the permission sets of every role the user holds."""
     if user not in policy.users:
         raise UnknownUser(f"user {user!r} is not registered")
-    return frozenset(_grants(policy, _roles(policy, user)))
+    index = _policy_index(policy)
+    return _grants(index, index.roles.get(user, ()))
 
 
 def keyed_grants(
@@ -498,18 +518,23 @@ def check_access(
     - for an element id and a creation operation, whose element does not
       exist yet, it is the category the id spells;
     - for an element id, it is a category that holds the element now.
-    Fail-closed: any unknown id simply yields Deny.
+    Fail-closed: any unknown id simply yields Deny. The policy index keeps the
+    keyed grants of registered ids, with their categories in declaration order.
     """
-    grants = keyed_grants(_grants(policy, _roles(policy, user)), (operation,))
+    index, key = _policy_index(policy), (user, operation)
+    if (entry := index.decisions.get(key)) is None:
+        grants = keyed_grants(_grants(index, index.roles.get(user, ())), (operation,))
+        entry = grants, tuple(c for c in Category if c in grants)
+        if user in policy.users and operation in policy.operations:
+            index.decisions[key] = entry
+    grants, categories = entry
     if Category.OBJECTS in grants or (obj.category or obj.text) in grants:
         return Decision.ALLOW
     if obj.is_category:
         return Decision.DENY
     if operation in _CREATION_OPERATIONS and obj._category in grants:
         return Decision.ALLOW
-    held = any(
-        obj in category_members(model, c) for c in grants if isinstance(c, Category)
-    )
+    held = any(obj in category_members(model, c) for c in categories)
     return Decision.ALLOW if held else Decision.DENY
 
 
@@ -538,7 +563,7 @@ def build_view(
     """What the permissions on ``operations`` (None: any) admit of ``model``."""
     granted = keyed_grants(permissions, operations)
     everywhere = granted.get(Category.OBJECTS, frozenset())
-    index = category_index(model)
+    index = _category_index(model)
     shown: dict[str, set] = defaultdict(set)  # component name -> visible elements
     provenance: dict[str, frozenset[Permission]] = {}
     carried = []  # each admitted part of the index, with the grants admitting it

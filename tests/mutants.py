@@ -90,11 +90,32 @@ MUTANTS = (
     ),
     Mutant(
         "first-role-only", "rbac.py",
-        "grants = keyed_grants(_grants(policy, _roles(policy, user)), (operation,))",
+        "grants = keyed_grants(_grants(index, index.roles.get(user, ())), (operation,))",
         "grants = keyed_grants(\n"
-        "        _grants(policy, sorted(_roles(policy, user))[:1]), (operation,)\n"
-        "    )",
+        "            _grants(index, sorted(index.roles.get(user, ()))[:1]), (operation,)\n"
+        "        )",
         "a decision reads the grants of the user's first role alone",
+    ),
+    # --- the policy index -------------------------------------------------------
+    Mutant(
+        "policy-index-never-rebuilt", "rbac.py",
+        "if last != policy:",
+        "if last is None:",
+        "decisions and views of every policy read the first policy's index",
+    ),
+    Mutant(
+        "policy-index-not-taken-over", "rbac.py",
+        "_last_policy[:] = policy, index",
+        "_last_policy[:] = (last if last == policy else policy), index",
+        "the first of equal policies stays the key, so later ones compare "
+        "every assignment",
+    ),
+    Mutant(
+        "policy-index-ignores-operation", "rbac.py",
+        "index, key = _policy_index(policy), (user, operation)",
+        "index, key = _policy_index(policy), user",
+        "a decision reads the grants its user was first checked for, on "
+        "whatever operation that was",
     ),
     # --- the grant rule that decisions and views share -------------------------
     Mutant(
@@ -249,6 +270,19 @@ MUTANTS = (
         "        except BaseException:\n"
         "            raise\n",
         "a write that fails partway leaves its partial file behind",
+    ),
+    Mutant(
+        "output-encoding-unchecked", "cli.py",
+        "        _printable(reply.out)\n",
+        "",
+        "output that stdout's encoding refuses fails after the files are "
+        "staged, with a traceback",
+    ),
+    Mutant(
+        "init-example-dir-before-check", "cli.py",
+        "    _printable(out)  # before the directory is made\n",
+        "",
+        "init-example makes its directory before its output is known to print",
     ),
     # --- edits and documents ---------------------------------------------------
     Mutant(

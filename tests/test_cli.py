@@ -484,6 +484,52 @@ class TestNamesUtf8CannotEncode:
         )
 
 
+class TestStrictStdout:
+    """Output that stdout's encoding refuses exits 2 with one escaped error
+    line, before any file or directory is written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["init-example", b"dir\xff"], ["init-example", "--explain", b"new/dir\xff"]],
+        ids=["plain", "nested"],
+    )
+    def test_unencodable_path_exits_two(self, tmp_path, argv):
+        result = self.run_process(tmp_path, argv, "utf-8:strict")
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: cannot write to standard output: ")
+        assert b"\\udcff" in result.stderr and result.stderr.isascii()
+        assert result.stderr.count(b"\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unencodable_output_replaces_no_file(self, example_dir):
+        before = TestNamesUtf8CannotEncode.files(example_dir)
+        argv = ["apply", "model.json", "policy.json", "--user", "Alice",
+                "--op", "addManVP", "Caf\u00e9"]
+        result = self.run_process(example_dir, argv, "ascii:strict")
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: cannot write to standard output: ")
+        assert b"\\xe9" in result.stderr and result.stderr.count(b"\n") == 1
+        assert TestNamesUtf8CannotEncode.files(example_dir) == before
+
+    def test_escaping_stdout_takes_the_path(self, tmp_path):
+        argv = ["init-example", b"dir\xff"]
+        result = self.run_process(tmp_path, argv, "utf-8:surrogateescape")
+        assert result.returncode == 0
+        assert result.stdout.startswith(b"wrote dir\xff/model.json")
+        assert sorted(os.listdir(tmp_path / "dir\udcff")) == ["model.json", "policy.json"]
+
+    @staticmethod
+    def run_process(directory, argv, encoding):
+        src = Path(ovmrbac.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": encoding}
+        return subprocess.run(
+            [sys.executable, "-m", "ovmrbac.cli", *argv],
+            cwd=directory, env=env, capture_output=True, timeout=60,
+        )
+
+
 class TestClosedStdout:
     """A closed stdout is an I/O error: exit 2, one line on stderr."""
 

@@ -1,8 +1,16 @@
 """Policy administration, object identifiers, and access decisions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovmrbac import (
+    ANY_OPERATION,
     AlreadyAssigned,
     Category,
     Decision,
@@ -11,9 +19,11 @@ from ovmrbac import (
     NotAssigned,
     NotGranted,
     OPERATION_CATALOG,
+    OvmRbacError,
     ObjectId,
     ParseError,
     Permission,
+    READ_LIKE,
     UnknownOperation,
     UnknownRole,
     UnknownUser,
@@ -24,19 +34,26 @@ from ovmrbac import (
     category_object,
     check_access,
     deassign_user,
+    derive_view,
     grant_permission2,
+    load_policy,
     new_empty_model,
     new_empty_policy,
     parse_object_id,
     revoke_permission,
     role_permissions,
+    save_policy,
+    user_view,
 )
+from ovmrbac import rbac
+from ovmrbac.fixture import build_example_policy
 from ovmrbac.rbac import (
     alt_group_object,
     category_members,
     check_id,
     dependency_object,
     element_object_ids,
+    user_permissions,
     variant_object,
     vp_object,
 )
@@ -398,3 +415,173 @@ class TestCategoryMembers:
         everything = category_members(example_model, Category.OBJECTS)
         assert everything == element_object_ids(example_model)
         assert dependency_object("GPU", "Processor VP") in everything
+
+
+# Decisions on the fixture by every user, plus a user whose role reads every
+# category but OBJECTS, on every operation and every element and category id;
+# prints how many times a decision called category_members.
+_COST_PROBE = """
+from ovmrbac import rbac
+from ovmrbac.fixture import build_example_model, build_example_policy
+from ovmrbac.rbac import (
+    OPERATION_CATALOG, Category, add_role, add_user, assign_user, category_object,
+    check_access, element_object_ids, grant_permission2,
+)
+
+model, policy = build_example_model(), build_example_policy()
+policy = assign_user(add_user(add_role(policy, "Reader"), "Rita"), "Rita", "Reader")
+categories = [category_object(c) for c in Category]
+policy = grant_permission2(policy, categories[1:], "read", "Reader")
+ids = sorted(element_object_ids(model), key=str) + categories
+calls = []
+members = rbac.category_members
+rbac.category_members = lambda model, category: calls.append(1) or members(model, category)
+for user in sorted(policy.users):
+    for operation in OPERATION_CATALOG:
+        for obj in ids:
+            check_access(policy, model, user, operation, obj)
+print(len(calls))
+"""
+
+# Admin steps, decisions and views over the fixture's users and roles, a
+# user who holds all three roles, and ids the policy does not register; a
+# query reads the current policy, the one before the last applied step, or
+# an equal copy of the current one.
+_USERS = ("u0", "Alice", "Bob", "Helen", "nobody")
+_ROLES = ("Grid Node Expert", "Image Expert", "Security Expert", "r0")
+_OPERATIONS = ("read", "remove_Variant", "add_AltGroup", "writeOptDep", "unregistered")
+_OBJECTS = (
+    "set:OBJECTS", "set:MAN_VP", "set:OPT_VP", "set:VARIANT", "set:ALTGROUP",
+    "set:OPT", "set:REQUIRES_V_VP", "vp:CPU VP", "variant:Sc.Linux",
+    "altgroup:Authentication VP", "altgroup:Linux VP",
+    "dep:Matlab->Library Required VP",
+    "constraint:requires:variant:Linux:vp:Linux VP",
+)
+_WHICH = st.sampled_from(("current", "previous", "equal"))
+_ADMIN_STEPS = {
+    "add_user": add_user, "add_role": add_role, "assign_user": assign_user,
+    "deassign_user": deassign_user, "grant_permission2": grant_permission2,
+    "revoke_permission": revoke_permission,
+}
+_users, _roles = st.sampled_from(_USERS), st.sampled_from(_ROLES)
+_operations, _objects = st.sampled_from(_OPERATIONS), st.sampled_from(_OBJECTS)
+_admin_steps = st.one_of(
+    st.tuples(st.just("add_user"), _users),
+    st.tuples(st.just("add_role"), _roles),
+    st.tuples(st.just("assign_user"), _users, _roles),
+    st.tuples(st.just("deassign_user"), _users, _roles),
+    st.tuples(st.just("grant_permission2"), st.lists(_objects, min_size=1, max_size=3),
+              _operations, _roles),
+    st.tuples(st.just("revoke_permission"), _objects, _operations, _roles),
+)
+_queries = st.one_of(
+    st.tuples(st.just("check"), _WHICH, _objects),
+    st.tuples(st.just("role view"), _WHICH, _roles),
+    st.tuples(st.just("user view"), _WHICH, _users),
+)
+# about three queries to an admin step, so that queries read kept entries
+_steps = st.lists(st.one_of(_admin_steps, _queries, _queries, _queries),
+                  min_size=10, max_size=50)
+
+
+def _clear_caches():
+    rbac._last_policy[:], rbac._last_index[:] = [None, None], [None, None]
+
+
+def _query(step, policy, model, before_each=lambda: None):
+    """Every user's decisions on every operation and one object, or a view
+    with its permission set (or the error it raises); ``before_each`` runs
+    before each decision or view."""
+    if step[0] == "check":
+        results = []
+        for user in _USERS:
+            for operation in _OPERATIONS:
+                before_each()
+                results.append(check_access(policy, model, user, operation, ObjectId(step[2])))
+        return results
+    before_each()
+    try:
+        if step[0] == "role view":
+            view = derive_view(policy, model, step[2], ANY_OPERATION)
+            return view, view.vp_stubs, dict(view.provenance), role_permissions(policy, step[2])
+        view = user_view(policy, model, step[2], READ_LIKE)
+        return view, view.vp_stubs, dict(view.provenance), user_permissions(policy, step[2])
+    except OvmRbacError as exc:
+        return type(exc), str(exc)
+
+
+class TestPolicyIndex:
+    """Decisions and permission sets read a one-entry index of the last policy."""
+
+    def test_a_decision_costs_the_same_under_every_hash_seed(self):
+        # the granted categories are tried in declaration order, not set order
+        src = str(Path(rbac.__file__).resolve().parents[1])
+        counts = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", _COST_PROBE], env=env, capture_output=True,
+                text=True, timeout=120, check=True,
+            )
+            counts.append(int(result.stdout))
+        assert counts[0] == counts[1] > 0
+
+    def test_equal_policies_share_one_index(self, example_model):
+        # the index is keyed by value, and the latest equal policy takes it
+        # over, so that its next calls find it by identity
+        first, second = build_example_policy(), build_example_policy()
+        index = rbac._policy_index(first)
+        assert rbac._policy_index(second) is index
+        assert rbac._last_policy[0] is second
+        assert rbac._policy_index(add_user(second, "Zed")) is not index
+        # decisions keep their entries for registered ids alone
+        index = rbac._policy_index(second)
+        for user, operation in [("Alice", "read"), ("Zed", "read"), ("Alice", "fly")]:
+            check_access(second, example_model, user, operation, ObjectId("vp:CPU VP"))
+        assert list(index.decisions) == [("Alice", "read")]
+
+    def test_a_decision_leaves_no_trace_on_its_policy(self, example_model):
+        fresh, used = build_example_policy(), build_example_policy()
+        for user in sorted(used.users):
+            user_permissions(used, user)
+            user_view(used, example_model, user, READ_LIKE)
+            for operation in OPERATION_CATALOG:
+                for obj in ("set:OBJECTS", "vp:CPU VP", "variant:Sc.Linux"):
+                    check_access(used, example_model, user, operation, ObjectId(obj))
+        for role in sorted(used.roles):
+            role_permissions(used, role)
+            derive_view(used, example_model, role, ANY_OPERATION)
+        assert used == fresh
+        assert (hash(used), repr(used)) == (hash(fresh), repr(fresh))
+        assert save_policy(used) == save_policy(fresh)
+        assert vars(used).keys() == vars(fresh).keys()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_steps)
+    def test_results_equal_those_after_the_cache_is_cleared(self, example_model, steps):
+        policy = add_user(build_example_policy(), "u0")
+        for role in _ROLES[:3]:  # a user who holds several roles
+            policy = assign_user(policy, "u0", role)
+        previous = policy
+        for step in steps:
+            if step[0] in _ADMIN_STEPS:
+                args = list(step[1:])
+                if step[0] == "grant_permission2":
+                    args[0] = [ObjectId(text) for text in args[0]]
+                elif step[0] == "revoke_permission":
+                    args[0] = ObjectId(args[0])
+                try:
+                    previous, policy = policy, _ADMIN_STEPS[step[0]](policy, *args)
+                except OvmRbacError:
+                    pass
+                continue
+            queried = {
+                "current": policy, "previous": previous,
+                "equal": load_policy(save_policy(policy)),
+            }[step[1]]
+            got = _query(step, queried, example_model)
+            kept = list(rbac._last_policy), list(rbac._last_index)
+            try:
+                assert got == _query(step, queried, example_model, _clear_caches), step
+            finally:
+                rbac._last_policy[:], rbac._last_index[:] = kept

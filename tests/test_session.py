@@ -387,10 +387,10 @@ class TestViewDynamics:
         # the index is keyed by value, and the latest equal snapshot takes it
         # over, so that its next calls find it by identity
         first, second = build_example_model(), build_example_model()
-        index = rbac.category_index(first)
-        assert rbac.category_index(second) is index
+        index = rbac._category_index(first)
+        assert rbac._category_index(second) is index
         assert rbac._last_index[0] is second
-        assert rbac.category_index(replace(second, variants=frozenset())) is not index
+        assert rbac._category_index(replace(second, variants=frozenset())) is not index
 
     def test_alternating_snapshots_view_as_fresh(self, example_model, example_policy):
         # views that alternate between two unequal snapshots rebuild the index
