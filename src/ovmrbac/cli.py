@@ -1,10 +1,10 @@
 """Command-line front end: validate, apply, grant, assign, check, view, render.
 
-Exit codes: 0 success (or Allow), 1 Deny / violations found / a role with no
-permissions, 2 usage, parse, or I/O error (a closed stdout too), 3 operation
-rejected by a model precondition. A command either prints its output and
-replaces its files, or fails with exit 2 having done neither (``init-example``
-may leave an empty directory). Exits 1 and 3 replace no file.
+Exit codes: 0 success (or Allow), 1 Deny or violations found, 2 usage, parse,
+or I/O error (a closed stdout too, or a view of a role with no permissions),
+3 operation rejected by a model precondition. A command either prints its
+output and replaces its files, or fails with exit 2 having done neither
+(``init-example`` may leave an empty directory). Exits 1 and 3 replace no file.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 from . import fixture, model_io, rbac
-from .errors import NoPermissions, OvmRbacError, ParseError
-from .model import validate_model
+from .errors import OvmRbacError, ParseError
+from .model import Record, validate_model
 from .rbac import Decision, ObjectId, check_access, role_permissions, user_permissions
 from .session import (
     ANY_OPERATION,
@@ -43,9 +42,10 @@ EXIT_USAGE = 2
 EXIT_REJECTED = 3
 
 
-class Reply(NamedTuple):
+class Reply(Record):
     """A command's exit code, stdout text and files to write; ``main`` does the I/O."""
 
+    __slots__ = ()
     code: int
     out: str
     writes: tuple[tuple[str | Path, str], ...] = ()
@@ -329,8 +329,6 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise OvmRbacError(f"cannot write {path}: {exc.strerror}") from None
         return reply.code
-    except NoPermissions as exc:
-        return _fail(str(exc), EXIT_DENIED)
     except OvmRbacError as exc:
         return _fail(str(exc))
     except BrokenPipeError as exc:

@@ -27,8 +27,8 @@ component's ``sort_key``, ``list_*`` or ``stored_constraints`` (documents, DOT).
 
 from __future__ import annotations
 
+from _collections import _tuplegetter  # the field accessor of collections.namedtuple
 from collections import Counter
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -68,6 +68,97 @@ class Universe(Enum):
 _FORBIDDEN_IN_NAMES = (":", "->", "\n", "\r")
 
 
+class _Fields:
+    """What records and snapshots share. A class's fields are its annotations,
+    after those of its bases, with class attributes as defaults; ``__new__``
+    may compute ``_derived`` values after the fields, read by name as they are."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+    _derived: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        own = vars(cls).get("__annotations__", {})
+        names = (*cls._fields, *own)
+        cls._fields = tuple(name for name in names if name not in cls._derived)
+        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+        for index, name in enumerate(names):
+            setattr(cls, name, cls._getter(index))
+
+    @classmethod
+    def _bind(cls, args: tuple, named: dict) -> tuple:
+        """The values of ``args``, then of the other fields by name or default."""
+        values = {**cls._defaults, **dict(zip(cls._fields, args)), **named}
+        if len(args) > len(cls._fields) or values.keys() != set(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+        return tuple(map(values.get, cls._fields))
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__qualname__}({shown})"
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, checked as a new value is."""
+        values = list(map(changes.pop, self._fields, self))  # before the rest
+        return type(self)(*values, **changes)
+
+
+class Record(_Fields, tuple):
+    """A value that is a tuple of its fields, each read by name: the base of
+    every value type but the snapshots. A subclass sets ``__slots__ = ()`` and
+    checks its arguments in its own ``__new__``. A record equals only a record
+    of its own type, and hashes as the tuple of its values."""
+
+    __slots__ = ()
+    _getter = staticmethod(lambda index: _tuplegetter(index, None))
+
+    def __new__(cls, *args, **named):
+        if named or len(args) != len(cls._fields):  # the rest by name, else by default
+            args = cls._bind(args, named)
+        return tuple.__new__(cls, args)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self) -> tuple:
+        return self[:len(self._fields)]
+
+
+class Snapshot(_Fields):
+    """A value that can be weakly referenced, as no tuple can: ``Model``,
+    ``ViewModel`` and ``Policy``, which callers may track by weak reference.
+    It keeps its values in one tuple, and equals and hashes as a record does."""
+
+    __slots__ = ("_values", "__weakref__")
+    _getter = staticmethod(lambda index: property(lambda self: self._values[index]))
+
+    def __init__(self, *args, **named) -> None:
+        if named or len(args) != len(self._fields):  # the rest by name, else by default
+            args = self._bind(args, named)
+        object.__setattr__(self, "_values", args)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __iter__(self) -> Iterator:
+        return iter(self._values)
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values
+
+
 def check_name(name: str) -> str:
     """Validate an element name; returns it unchanged.
 
@@ -87,44 +178,42 @@ def check_name(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class VariationPoint:
+class VariationPoint(Record):
+    __slots__ = ()
     name: str
     kind: VariabilityKind
 
-    def __post_init__(self) -> None:
-        check_name(self.name)
+    def __new__(cls, name: str, kind: VariabilityKind):
+        return tuple.__new__(cls, (check_name(name), kind))
 
     def sort_key(self) -> tuple[str, str]:
         return (self.name, self.kind._value_)
 
 
-@dataclass(frozen=True)
-class Variant:
+class Variant(Record):
+    __slots__ = ()
     name: str
 
-    def __post_init__(self) -> None:
-        check_name(self.name)
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (check_name(name),))
 
 
-@dataclass(frozen=True)
-class Dependency:
+class Dependency(Record):
     """A mandatory or optional binding of one variant to one variation point."""
 
+    __slots__ = ()
     variant: str
     vp: str
     kind: VariabilityKind
 
-    def __post_init__(self) -> None:
-        check_name(self.variant)
-        check_name(self.vp)
+    def __new__(cls, variant: str, vp: str, kind: VariabilityKind):
+        return tuple.__new__(cls, (check_name(variant), check_name(vp), kind))
 
     def sort_key(self) -> tuple[str, str, str]:
         return (self.variant, self.vp, self.kind._value_)
 
 
-@dataclass(frozen=True)
-class AltGroup:
+class AltGroup(Record):
     """An alternative group: >= 2 variants with a selection cardinality.
 
     Relational rules (member count, min <= max <= size, exclusive
@@ -133,17 +222,19 @@ class AltGroup:
     violating documents remain representable and reportable.
     """
 
+    __slots__ = ()
     variants: frozenset[str]
     min_card: int
     max_card: int
     vp: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "variants", group_members(self.variants))
-        check_name(self.vp)
-        for card in (self.min_card, self.max_card):
+    def __new__(cls, variants: Iterable[str], min_card: int, max_card: int, vp: str):
+        variants = group_members(variants)
+        check_name(vp)
+        for card in (min_card, max_card):
             if type(card) is not int or card < 0:  # bools are not cardinalities
                 raise CardinalityInvalid(_NOT_NATURAL)
+        return tuple.__new__(cls, (variants, min_card, max_card, vp))
 
     def sort_key(self) -> tuple[str, list[str], int, int]:
         return (self.vp, sorted(self.variants), self.min_card, self.max_card)
@@ -161,26 +252,26 @@ def group_members(variants: Iterable[str]) -> frozenset[str]:
     return frozenset(map(check_name, variants))
 
 
-@dataclass(frozen=True)
-class EndpointRef:
+class EndpointRef(Record):
+    __slots__ = ()
     universe: Universe
     name: str
 
-    def __post_init__(self) -> None:
-        check_name(self.name)
+    def __new__(cls, universe: Universe, name: str):
+        return tuple.__new__(cls, (universe, check_name(name)))
 
     def __str__(self) -> str:
         return f"{self.universe._value_}:{self.name}"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """A directed requires or excludes edge between two endpoints.
 
     Excludes constraints are kept closed under symmetry: both ordered
     directions are present in the model whenever either is (``closure``).
     """
 
+    __slots__ = ()
     kind: ConstraintKind
     source: EndpointRef
     target: EndpointRef
@@ -201,8 +292,8 @@ class Constraint:
         return (self,)
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Snapshot):
+    __slots__ = ()
     variation_points: frozenset[VariationPoint] = frozenset()
     variants: frozenset[Variant] = frozenset()
     dependencies: frozenset[Dependency] = frozenset()
@@ -210,10 +301,11 @@ class Model:
     constraints: frozenset[Constraint] = frozenset()
 
 
-@dataclass(frozen=True, order=True)
-class Violation:
-    """One validation finding; violations are data, never exceptions."""
+class Violation(Record):
+    """One validation finding; violations are data, never exceptions. They
+    sort as tuples: by code, then subject, then detail."""
 
+    __slots__ = ()
     code: str
     subject: str
     detail: str
@@ -338,7 +430,7 @@ def _add_vp(model: Model, name: str, kind: VariabilityKind) -> Model:
     point = VariationPoint(name, kind)  # an invalid name is refused first
     if _exists(model, Universe.VP, name):
         raise DuplicateElement(f"variation point {name!r} already exists")
-    return replace(model, variation_points=model.variation_points | {point})
+    return model._replace(variation_points=model.variation_points | {point})
 
 
 def add_man_vp(model: Model, name: str) -> Model:
@@ -356,7 +448,7 @@ def _remove_vp(model: Model, name: str, kind: VariabilityKind) -> Model:
     if point not in model.variation_points:
         raise NotFound(f"no {kind.value} variation point named {name!r}")
     _ensure_unreferenced(model, Universe.VP, name)
-    return replace(model, variation_points=model.variation_points - {point})
+    return model._replace(variation_points=model.variation_points - {point})
 
 
 def remove_man_vp(model: Model, name: str) -> Model:
@@ -376,14 +468,14 @@ def add_variant(model: Model, name: str) -> Model:
     variant = Variant(name)  # an invalid name is refused first
     if _exists(model, Universe.VARIANT, name):
         raise DuplicateElement(f"variant {name!r} already exists")
-    return replace(model, variants=model.variants | {variant})
+    return model._replace(variants=model.variants | {variant})
 
 
 def remove_variant(model: Model, name: str) -> Model:
     if not _exists(model, Universe.VARIANT, name):
         raise NotFound(f"no variant named {name!r}")
     _ensure_unreferenced(model, Universe.VARIANT, name)
-    return replace(model, variants=model.variants - {Variant(name)})
+    return model._replace(variants=model.variants - {Variant(name)})
 
 
 # --- dependencies ------------------------------------------------------------
@@ -405,9 +497,7 @@ def add_dependency(
         raise VariantAlreadyBound(
             f"variant {variant!r} is a member of the group at {bound.vp!r}"
         )
-    return replace(
-        model, dependencies=model.dependencies | {Dependency(variant, vp, kind)}
-    )
+    return model._replace(dependencies=model.dependencies | {Dependency(variant, vp, kind)})
 
 
 def dependency_between(model: Model, variant: str, vp: str) -> Dependency | None:
@@ -426,7 +516,7 @@ def remove_dependency(model: Model, variant: str, vp: str) -> Model:
     dep = dependency_between(model, variant, vp)
     if dep is None:
         raise NotFound(f"no dependency {variant!r} -> {vp!r}")
-    return replace(model, dependencies=model.dependencies - {dep})
+    return model._replace(dependencies=model.dependencies - {dep})
 
 
 # --- alternative groups ------------------------------------------------------
@@ -463,9 +553,8 @@ def add_alt_group(
             )
     if any(group.vp == vp for group in model.alt_groups):
         raise GroupExists(f"variation point {vp!r} already has an alternative group")
-    return replace(
-        model,
-        alt_groups=model.alt_groups | {AltGroup(members, min_card, max_card, vp)},
+    return model._replace(
+        alt_groups=model.alt_groups | {AltGroup(members, min_card, max_card, vp)}
     )
 
 
@@ -473,7 +562,7 @@ def remove_alt_group(model: Model, vp: str) -> Model:
     """Drop the group targeting ``vp``; member variants stay in the model."""
     for group in model.alt_groups:
         if group.vp == vp:
-            return replace(model, alt_groups=model.alt_groups - {group})
+            return model._replace(alt_groups=model.alt_groups - {group})
     raise NotFound(f"no alternative group at {vp!r}")
 
 
@@ -492,7 +581,7 @@ def add_constraint(
         if _claims(model, c.source, c.target):
             pair = f"{c.source.name!r} -> {c.target.name!r}"
             raise ConstraintConflict(f"the pair {pair} is already constrained")
-    return replace(model, constraints=model.constraints.union(added))
+    return model._replace(constraints=model.constraints.union(added))
 
 
 def remove_constraint(
@@ -504,7 +593,7 @@ def remove_constraint(
         raise NotFound(
             f"no {kind.value} constraint {source.name!r} -> {target.name!r}"
         )
-    return replace(model, constraints=model.constraints.difference(wanted.closure()))
+    return model._replace(constraints=model.constraints.difference(wanted.closure()))
 
 
 # --- validation ----------------------------------------------------------------

@@ -107,8 +107,7 @@ def load_model(text: str) -> Model:
     """Parse a model document; reject structural-invariant violations."""
     data = _load_json(text)
     _expect(isinstance(data, dict), "model document must be a JSON object")
-    for key in ("variation_points", "variants", "dependencies", "alt_groups",
-                "constraints"):
+    for key in Model._fields:
         _expect(isinstance(data.get(key, []), list), f"{key} must be a list")
     try:
         points = set()
@@ -146,13 +145,8 @@ def load_model(text: str) -> Model:
         raise
     except OvmRbacError as exc:
         raise StructuralViolation(str(exc)) from None
-    model = Model(
-        variation_points=frozenset(points),
-        variants=frozenset(variants),
-        dependencies=frozenset(dependencies),
-        alt_groups=frozenset(groups),
-        constraints=frozenset(constraints),
-    )
+    components = (points, variants, dependencies, groups, constraints)
+    model = Model(*map(frozenset, components))
     violations = check_structure(model)
     if violations:
         raise StructuralViolation(str(violations[0]))
@@ -228,13 +222,7 @@ def load_policy(text: str) -> Policy:
             _expect(isinstance(text, str), "grant objects must be strings")
             grants.add((Permission(parse_object_id(text), operation), role))
 
-    return Policy(
-        users=users,
-        roles=roles,
-        operations=operations,
-        user_assignments=frozenset(assignments),
-        permission_assignments=frozenset(grants),
-    )
+    return Policy(users, roles, operations, frozenset(assignments), frozenset(grants))
 
 
 # --- DOT export -------------------------------------------------------------

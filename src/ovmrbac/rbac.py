@@ -21,11 +21,10 @@ its name is shown, its mandatory/optional kind withheld.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import chain
 from types import MappingProxyType
-from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Container, Iterable, Iterator, Mapping
 
 from .errors import (
     AlreadyAssigned,
@@ -45,6 +44,8 @@ from .model import (
     Dependency,
     EndpointRef,
     Model,
+    Record,
+    Snapshot,
     Universe,
     VariabilityKind,
     VariationPoint,
@@ -100,9 +101,10 @@ class Category(Enum):
     REQUIRES_VP_VP = "REQUIRES_VP_VP"
 
 
-class KindObjects(NamedTuple):
+class KindObjects(Record):
     """Where one variability kind lands in the access model."""
 
+    __slots__ = ()
     vp_category: Category
     dep_category: Category
     dep_write: str
@@ -132,6 +134,7 @@ _CONSTRAINT_CATEGORIES: dict[tuple, Category] = {
 # The category a variant or alt-group id spells; vp and dependency ids spell
 # none, since their mandatory/optional kind lives in the model.
 _SPELLED = {"vp": None, "variant": Category.VARIANT, "altgroup": Category.ALTGROUP}
+_CATEGORIES = tuple(Category)  # the order a decision tries categories in
 
 
 def _parse_object_text(text: str) -> Category | None:
@@ -170,8 +173,7 @@ def _parse_object_text(text: str) -> Category | None:
     raise ParseError(f"unknown object id prefix {prefix!r}")
 
 
-@dataclass(frozen=True)
-class ObjectId:
+class ObjectId(Record):
     """Canonical identifier of an access-controlled object.
 
     Renderings: ``set:<CATEGORY>``, ``vp:<name>``, ``variant:<name>``,
@@ -179,27 +181,29 @@ class ObjectId:
     ``constraint:<kind>:<universe>:<name>:<universe>:<name>``. The text is
     unique per object and stable, so equality and hashing are textual.
     It is parsed once, on construction, and keeps the category its text
-    names (a ``set:`` id) or spells (see ``_parse_object_text``).
+    names (a ``set:`` id) or spells (see ``_parse_object_text``), and the
+    category its text names, or None (``category`` and ``is_category``).
     An element id need not reference a currently existing element: grants
     may precede model edits and stay inert until the element appears.
     """
 
+    __slots__ = ()
     text: str
-    _category: Category | None = field(init=False, repr=False, compare=False)
+    _category: Category | None
+    category: Category | None
+    is_category: bool
+    _derived = ("_category", "category", "is_category")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_category", _parse_object_text(self.text))
+    def __new__(cls, text: str):
+        category = _parse_object_text(text)
+        named = text.startswith("set:")
+        return tuple.__new__(cls, (text, category, category if named else None, named))
+
+    def __hash__(self) -> int:
+        return hash(self[:1])
 
     def __str__(self) -> str:
         return self.text
-
-    @property
-    def is_category(self) -> bool:
-        return self.text.startswith("set:")
-
-    @property
-    def category(self) -> Category | None:
-        return self._category if self.is_category else None
 
 
 def parse_object_id(text: str) -> ObjectId:
@@ -233,10 +237,10 @@ def constraint_object(
     return ObjectId(f"constraint:{kind.value}:{source}:{target}")
 
 
-@dataclass(frozen=True)
-class Permission:
+class Permission(Record):
     """An approval to perform one operation on one object."""
 
+    __slots__ = ()
     object: ObjectId
     operation: str
 
@@ -244,8 +248,8 @@ class Permission:
         return (self.object.text, self.operation)
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(Snapshot):
+    __slots__ = ()
     users: frozenset[str] = frozenset()
     roles: frozenset[str] = frozenset()
     operations: frozenset[str] = frozenset()
@@ -272,14 +276,14 @@ def add_user(policy: Policy, user: str) -> Policy:
     check_id(user, "user")
     if user in policy.users:
         raise DuplicateId(f"user {user!r} already registered")
-    return replace(policy, users=policy.users | {user})
+    return policy._replace(users=policy.users | {user})
 
 
 def add_role(policy: Policy, role: str) -> Policy:
     check_id(role, "role")
     if role in policy.roles:
         raise DuplicateId(f"role {role!r} already registered")
-    return replace(policy, roles=policy.roles | {role})
+    return policy._replace(roles=policy.roles | {role})
 
 
 def assign_user(policy: Policy, user: str, role: str) -> Policy:
@@ -290,17 +294,13 @@ def assign_user(policy: Policy, user: str, role: str) -> Policy:
         raise UnknownRole(f"role {role!r} is not registered")
     if (user, role) in policy.user_assignments:
         raise AlreadyAssigned(f"{user!r} already holds role {role!r}")
-    return replace(
-        policy, user_assignments=policy.user_assignments | {(user, role)}
-    )
+    return policy._replace(user_assignments=policy.user_assignments | {(user, role)})
 
 
 def deassign_user(policy: Policy, user: str, role: str) -> Policy:
     if (user, role) not in policy.user_assignments:
         raise NotAssigned(f"{user!r} does not hold role {role!r}")
-    return replace(
-        policy, user_assignments=policy.user_assignments - {(user, role)}
-    )
+    return policy._replace(user_assignments=policy.user_assignments - {(user, role)})
 
 
 def grant_permission2(
@@ -318,9 +318,7 @@ def grant_permission2(
     if operation not in policy.operations:
         raise UnknownOperation(f"operation {operation!r} is not registered")
     entries = {(Permission(obj, operation), role) for obj in objects}
-    return replace(
-        policy, permission_assignments=policy.permission_assignments | entries
-    )
+    return policy._replace(permission_assignments=policy.permission_assignments | entries)
 
 
 def revoke_permission(
@@ -331,9 +329,7 @@ def revoke_permission(
         raise NotGranted(
             f"role {role!r} holds no ({obj}, {operation}) permission"
         )
-    return replace(
-        policy, permission_assignments=policy.permission_assignments - {entry}
-    )
+    return policy._replace(permission_assignments=policy.permission_assignments - {entry})
 
 
 # --- category resolution --------------------------------------------------------
@@ -374,14 +370,9 @@ def element_text(element) -> str:
     return _ELEMENT_RULES[type(element)][0](element)
 
 
-def element_category(element) -> Category:
-    """The category a model element belongs to, besides OBJECTS."""
-    return _ELEMENT_RULES[type(element)][1](element)
-
-
 def model_elements(model: Model) -> Iterator:
     """Every element of the model, component by component."""
-    return chain.from_iterable(getattr(model, f.name) for f in fields(Model))
+    return chain.from_iterable(model._values[:len(Model._fields)])
 
 
 def element_object_ids(model: Model) -> frozenset[ObjectId]:
@@ -389,11 +380,12 @@ def element_object_ids(model: Model) -> frozenset[ObjectId]:
     return frozenset(ObjectId(element_text(e)) for e in model_elements(model))
 
 
-class _ViewIndex(NamedTuple):
+class _ViewIndex(Record):
     """What views read of one snapshot, each element spelled once: each
     category's (member, id text) pairs, each element by its id text and each
     variant by its name; and, built when a view first admits them, parts."""
 
+    __slots__ = ()
     members: dict[Category, list[tuple[object, str]]]
     elements: dict[str, tuple[str, object]]  # id text -> component, element
     variants: dict[str, tuple[Variant, str]]
@@ -426,11 +418,11 @@ def _category_index(model: Model) -> _ViewIndex:
     last, index = _last_index
     if last != model:
         index = _ViewIndex({}, {}, {}, {})
-        for component in fields(Model):
-            for element in getattr(model, component.name):
+        for component, elements in zip(Model._fields, model._values):
+            for element in elements:
                 spell, classify = _ELEMENT_RULES[type(element)]
                 text = spell(element)
-                index.elements[text] = component.name, element
+                index.elements[text] = component, element
                 index.members.setdefault(classify(element), []).append((element, text))
         for variant, text in index.members.get(Category.VARIANT, ()):
             index.variants[variant.name] = variant, text
@@ -445,15 +437,16 @@ def category_members(model: Model, category: Category) -> frozenset[ObjectId]:
     return frozenset(
         ObjectId(element_text(e))
         for e in getattr(model, _COMPONENTS[category])
-        if element_category(e) is category
+        if _ELEMENT_RULES[type(e)][1](e) is category
     )
 
 
 # --- queries and checks -----------------------------------------------------------
 
-class _PolicyIndex(NamedTuple):
+class _PolicyIndex(Record):
     """A policy's user roles, role permissions and ``check_access`` entries."""
 
+    __slots__ = ()
     roles: dict[str, frozenset[str]]
     grants: dict[str, frozenset[Permission]]
     decisions: dict[tuple[str, str], tuple[dict, tuple[Category, ...]]]
@@ -524,7 +517,7 @@ def check_access(
     index, key = _policy_index(policy), (user, operation)
     if (entry := index.decisions.get(key)) is None:
         grants = keyed_grants(_grants(index, index.roles.get(user, ())), (operation,))
-        entry = grants, tuple(c for c in Category if c in grants)
+        entry = grants, tuple(c for c in _CATEGORIES if c in grants)
         if user in policy.users and operation in policy.operations:
             index.decisions[key] = entry
     grants, categories = entry
@@ -538,7 +531,6 @@ def check_access(
     return Decision.ALLOW if held else Decision.DENY
 
 
-@dataclass(frozen=True)
 class ViewModel(Model):
     """A role-specific projection of a model.
 
@@ -546,11 +538,15 @@ class ViewModel(Model):
     reference without any permission admitting them (stubs), and
     per-element provenance, read-only: which permissions admitted each
     element. A view makes no well-formedness claim of its own; it is an
-    induced substructure of a valid model.
+    induced substructure of a valid model. Provenance is compared, not hashed.
     """
 
+    __slots__ = ()
     vp_stubs: frozenset[str] = frozenset()
-    provenance: Mapping[str, frozenset[Permission]] = field(default_factory=dict, hash=False)
+    provenance: Mapping[str, frozenset[Permission]] = MappingProxyType({})
+
+    def __hash__(self) -> int:
+        return hash(self._values[:6])
 
     def element_ids(self) -> frozenset[str]:
         """Canonical ids of every visible element (stubs excluded)."""
@@ -598,7 +594,7 @@ def build_view(
         referenced_vps |= vps
 
     return ViewModel(
-        **{f.name: frozenset(shown[f.name]) for f in fields(Model)},
+        **{name: frozenset(shown[name]) for name in Model._fields},
         vp_stubs=frozenset(referenced_vps - {p.name for p in shown["variation_points"]}),
         provenance=MappingProxyType(provenance),
     )

@@ -13,13 +13,12 @@ filter; ``rbac.build_view`` projects the model onto the grants that remain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Sized
+from typing import Callable, Iterable, Sized
 
 from . import model as ovm
 from .errors import NoPermissions, OvmRbacError
-from .model import ConstraintKind, EndpointRef, Model, Universe, VariabilityKind
+from .model import ConstraintKind, EndpointRef, Model, Record, Universe, VariabilityKind
 from .rbac import (
     KIND_OBJECTS,
     Category,
@@ -41,7 +40,7 @@ from .rbac import (
 )
 
 
-class ArgKind(NamedTuple):
+class ArgKind(Record):
     """One kind of request argument.
 
     ``check`` normalizes a library argument or raises. ``parse`` turns its
@@ -49,6 +48,7 @@ class ArgKind(NamedTuple):
     text spells none; ``label`` names the kind in command-line usage.
     """
 
+    __slots__ = ()
     label: str
     check: Callable[[object], object]
     parse: Callable[[str], object] = str
@@ -84,8 +84,7 @@ CONSTRAINT_KIND = _value_kind("requires|excludes", ConstraintKind, ConstraintKin
 ENDPOINT = _value_kind("variant:NAME|vp:NAME", EndpointRef, _endpoint)
 
 
-@dataclass(frozen=True)
-class OpSpec:
+class OpSpec(Record):
     """One request operation.
 
     ``params`` are the argument kinds in library order. ``resolve`` maps the
@@ -95,6 +94,7 @@ class OpSpec:
     at call time, so rebinding that module's names reaches every request.
     """
 
+    __slots__ = ()
     params: tuple
     function: str
     resolve: Callable[[tuple, Model], tuple[str, ObjectId]]
@@ -172,8 +172,7 @@ OPERATIONS: dict[str, OpSpec] = {
 REQUEST_OPS: tuple[str, ...] = tuple(OPERATIONS)
 
 
-@dataclass(frozen=True)
-class OpRequest:
+class OpRequest(Record):
     """One mutation request: an operation name plus its positional payload.
 
     Requests are validated on construction (operation name, payload arity,
@@ -181,19 +180,18 @@ class OpRequest:
     constructible request yields an Outcome.
     """
 
+    __slots__ = ()
     op: str
     args: tuple
 
-    def __post_init__(self) -> None:
-        spec = OPERATIONS.get(self.op)
+    def __new__(cls, op: str, args: tuple):
+        spec = OPERATIONS.get(op)
         if spec is None:
-            raise ValueError(f"unknown request operation {self.op!r}")
-        if not isinstance(self.args, Sized) or len(self.args) != len(spec.params):
-            raise ValueError(
-                f"{self.op} takes {len(spec.params)} argument(s), got {self.args!r}"
-            )
-        checked = [kind.check(arg) for kind, arg in zip(spec.params, self.args)]
-        object.__setattr__(self, "args", tuple(checked))
+            raise ValueError(f"unknown request operation {op!r}")
+        if not isinstance(args, Sized) or len(args) != len(spec.params):
+            raise ValueError(f"{op} takes {len(spec.params)} argument(s), got {args!r}")
+        checked = [kind.check(arg) for kind, arg in zip(spec.params, args)]
+        return tuple.__new__(cls, (op, tuple(checked)))
 
     def render(self) -> str:
         parts = []
@@ -224,8 +222,8 @@ class OutcomeStatus(Enum):
     REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
+    __slots__ = ()
     status: OutcomeStatus
     model: Model | None = None
     error: OvmRbacError | None = None
@@ -240,8 +238,8 @@ class Outcome:
         return self.status.value
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(Record):
+    __slots__ = ()
     request: OpRequest
     decision: Decision
     outcome: Outcome
@@ -253,7 +251,6 @@ class LogEntry:
         )
 
 
-@dataclass
 class Session:
     """A single user's editing session over one model/policy snapshot pair.
 
@@ -261,10 +258,11 @@ class Session:
     is append-only, one entry per execute call.
     """
 
-    user: str
-    model: Model
-    policy: Policy
-    log: list[LogEntry] = field(default_factory=list)
+    __slots__ = ("user", "model", "policy", "log")
+
+    def __init__(self, user: str, model: Model, policy: Policy, log: list | None = None):
+        self.user, self.model, self.policy = user, model, policy
+        self.log = [] if log is None else log
 
 
 def execute(session: Session, request: OpRequest) -> Outcome:
@@ -290,18 +288,19 @@ def execute(session: Session, request: OpRequest) -> Outcome:
 # --- views ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperationFilter:
+class OperationFilter(Record):
     """Keeps permissions whose operation is in ``operations``, frozen to a
     frozenset (a string raises TypeError); None keeps all."""
 
-    operations: frozenset[str] | None = None
+    __slots__ = ()
+    operations: frozenset[str] | None
 
-    def __post_init__(self) -> None:
-        if isinstance(self.operations, str):
+    def __new__(cls, operations: Iterable[str] | None = None):
+        if isinstance(operations, str):
             raise TypeError("operations must be a collection of ids, not a string")
-        if self.operations is not None:
-            object.__setattr__(self, "operations", frozenset(self.operations))
+        if operations is not None:
+            operations = frozenset(operations)
+        return tuple.__new__(cls, (operations,))
 
 
 ANY_OPERATION = OperationFilter()

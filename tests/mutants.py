@@ -38,6 +38,7 @@ PACKAGE = "src/ovmrbac"
 # Every test module, the fast killers first; -x stops at the first failing
 # test. The runner refuses to start when a test module is missing here.
 TEST_ORDER = (
+    "tests/test_records.py",
     "tests/test_rbac.py",
     "tests/test_session.py",
     "tests/test_oracle.py",
@@ -272,6 +273,12 @@ MUTANTS = (
         "a write that fails partway leaves its partial file behind",
     ),
     Mutant(
+        "no-permissions-exits-one", "cli.py",
+        "        return _fail(str(exc))\n",
+        "        return _fail(str(exc), EXIT_DENIED if 'no permissions' in str(exc) else EXIT_USAGE)\n",
+        "a view of a role with no permissions exits 1, as a Deny does",
+    ),
+    Mutant(
         "output-encoding-unchecked", "cli.py",
         "        _printable(reply.out)\n",
         "",
@@ -283,6 +290,23 @@ MUTANTS = (
         "    _printable(out)  # before the directory is made\n",
         "",
         "init-example makes its directory before its output is known to print",
+    ),
+    # --- records -----------------------------------------------------------------
+    Mutant(
+        "record-eq-ignores-type", "model.py",
+        "        return type(other) is type(self) and tuple.__eq__(self, other)\n",
+        "        return isinstance(other, tuple) and tuple.__eq__(self, other)\n",
+        "a record equals a bare tuple, or a record of another type, with the "
+        "same values",
+    ),
+    Mutant(
+        "replace-keeps-old-field", "model.py",
+        "        values = list(map(changes.pop, self._fields, self))  # before the rest\n"
+        "        return type(self)(*values, **changes)\n",
+        "        values = [changes.pop(n, None) or v for n, v in zip(self._fields, self)]\n"
+        "        return type(self)(*values, **changes)\n",
+        "_replace keeps the old value of a field changed to an empty or false "
+        "one, so removing the last element of a component changes nothing",
     ),
     # --- edits and documents ---------------------------------------------------
     Mutant(

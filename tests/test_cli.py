@@ -382,17 +382,26 @@ class TestView:
         assert doc["view"]["vp_stubs"] == ["Authentication VP"]
         assert doc["view"]["variation_points"] == []
 
-    def test_role_without_grants_exits_one(self, example_dir, capsys):
+    def test_role_without_grants_exits_two(self, example_dir, capsys):
+        # exit 1 means a Deny or violations found; a role without grants is
+        # an error in the request, as an unknown role is
         policy = str(example_dir / "policy.json")
         doc = json.loads((example_dir / "policy.json").read_text())
         doc["roles"].append("Intern")
         (example_dir / "policy.json").write_text(json.dumps(doc))
-        code, _, err = run(
-            capsys, "view", str(example_dir / "model.json"), policy,
-            "--role", "Intern",
-        )
-        assert code == 1
-        assert "no permissions" in err
+        dot = example_dir / "view.dot"
+        errors = []
+        for role in ("Intern", "Nobody"):
+            code, out, err = run(
+                capsys, "view", str(example_dir / "model.json"), policy,
+                "--role", role, "--dot", str(dot),
+            )
+            assert (code, out, dot.exists()) == (2, "", False), role
+            errors.append(err)
+        assert errors == [
+            "error: role 'Intern' has no permissions assigned\n",
+            "error: role 'Nobody' is not registered\n",
+        ]
 
     def test_user_view_and_dot(self, example_dir, capsys, tmp_path):
         dot_path = tmp_path / "view.dot"
@@ -889,18 +898,22 @@ _FIXTURE_DOCUMENTS = {
     "model.json": save_model(build_example_model()),
     "policy.json": save_policy(build_example_policy()),
 }
-_DOCUMENTS = ("MODEL", "POLICY", "MISSING", "DIR")
-_USERS = (*FIXTURE_USERS, *FIXTURE_USERS, "Mallory", " ")  # mostly known
-_ROLES = (*FIXTURE_ROLES, "Nobody", "")
-_RBAC_OPS = (*OPERATION_CATALOG, "noSuchOp")
+# A command-line byte that is not UTF-8 reaches main as a lone surrogate,
+# as os.fsdecode gives it; such words stand in paths and names alike.
+_ODD = os.fsdecode(b"\xff")
+_DOCUMENTS = ("MODEL", "POLICY", "MISSING", "DIR", "ODD")
+_USERS = (*FIXTURE_USERS, *FIXTURE_USERS, "Mallory", " ", "Alice" + _ODD)  # mostly known
+_ROLES = (*FIXTURE_ROLES, "Nobody", "", "Security Expert" + _ODD)
+_RBAC_OPS = (*OPERATION_CATALOG, "noSuchOp", "read" + _ODD)
 _OBJECTS = (
     "set:OBJECTS", "set:MAN_VP", "set:VARIANT", "set:NOPE", "vp:OS VP",
     "vp:Nowhere", "variant:Linux", "dep:Linux->OS VP", "altgroup:CPU VP",
     "constraint:excludes:variant:Matlab:variant:Sc.Linux", "garbage", "",
+    "vp:OS VP" + _ODD,
 )
 _NAMES = (
     "OS VP", "CPU VP", "Authentication VP", "Linux", "Windows", "x32", "x64",
-    "Kerberos", "Password", "New", " New", "a:b", "",
+    "Kerberos", "Password", "New", " New", "a:b", "", "New" + _ODD,
 )
 # command-line words for each argument kind, by its usage label
 _WORDS = {
@@ -934,7 +947,7 @@ def cli_argv(draw):
          "check", "view")
     )
     if command == "init-example":
-        argv = [command, pick(("DIR", "DIR/sub"))] + pick(([], ["--explain"]))
+        argv = [command, pick(("DIR", "DIR/sub", "DIR/odd"))] + pick(([], ["--explain"]))
     elif command in ("validate", "render"):
         argv = [command, document("MODEL")]
     elif command == "apply":
@@ -962,7 +975,7 @@ def cli_argv(draw):
         subject = pick((["--role", pick(_ROLES)], ["--user", pick(_USERS)]))
         argv = [command, document("MODEL"), document("POLICY"), *subject,
                 *pick(([], ["--filter", pick(_FILTERS)])),
-                *pick(([], ["--dot", pick(("DOT", "DIR"))]))]
+                *pick(([], ["--dot", pick(("DOT", "DIR", "DOT/odd"))]))]
     change = pick(("none", "none", "none", "drop", "insert"))
     if change == "drop":  # a word after the command goes missing
         del argv[draw(st.integers(1, len(argv) - 1))]
@@ -972,30 +985,41 @@ def cli_argv(draw):
 
 
 def _explains_exit_one(command, out, err):
-    """Exit 1 means a Deny, violations found, or a role without permissions."""
+    """Exit 1 means a Deny or violations found, and nothing else."""
     return (
         (command == "check" and out == "Deny\n")
         or (command == "apply" and out.endswith(" decision=deny outcome=denied\n"))
         or (command == "validate" and out != "")
-        or (command == "view" and err.endswith("has no permissions assigned\n"))
     )
 
 
-def _main_outcome(argv):
-    """main's return code, or None when argparse refuses the command line."""
-    out, err = io.StringIO(), io.StringIO()
+def _main_outcome(argv, errors=None):
+    """main's return code, or None when argparse refuses the command line, and
+    its output and errors. Standard output is a StringIO, or with ``errors`` a
+    UTF-8 text stream over bytes with that error handler."""
+    raw, err = io.BytesIO(), io.StringIO()
+    out = io.StringIO() if errors is None else io.TextIOWrapper(raw, "utf-8", errors)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             assert exc.code == 2
             code = None
-    return code, out.getvalue(), err.getvalue()
+    if errors is None:
+        return code, out.getvalue(), err.getvalue()
+    out.flush()
+    out.detach()
+    return code, raw.getvalue().decode("utf-8", "surrogateescape"), err.getvalue()
+
+
+def _tree(directory):
+    return sorted(str(path) for path in directory.rglob("*"))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(cli_argv(), min_size=1, max_size=3))
-def test_every_command_line_ends_in_a_bounded_outcome(commands):
+@given(st.lists(cli_argv(), min_size=1, max_size=3),
+       st.sampled_from((None, None, "strict", "surrogateescape")))
+def test_every_command_line_ends_in_a_bounded_outcome(commands, errors):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         for name, text in _FIXTURE_DOCUMENTS.items():
@@ -1007,6 +1031,9 @@ def test_every_command_line_ends_in_a_bounded_outcome(commands):
             "DIR": directory,
             "DIR/sub": directory / "sub",
             "DOT": directory / "view.dot",
+            "ODD": directory / f"model{_ODD}.json",
+            "DIR/odd": directory / f"sub{_ODD}",
+            "DOT/odd": directory / f"view{_ODD}.dot",
         }
         cwd = os.getcwd()
         os.chdir(tmp)  # a stray positional path lands in the run's directory
@@ -1014,12 +1041,16 @@ def test_every_command_line_ends_in_a_bounded_outcome(commands):
             for argv in commands:
                 argv = [str(paths.get(token, token)) for token in argv]
                 before = [paths[key].read_bytes() for key in ("MODEL", "POLICY")]
-                code, out, err = _main_outcome(argv)
+                tree = _tree(directory)
+                code, out, err = _main_outcome(argv, errors)
                 assert code in (None, 0, 1, 2, 3), argv
                 if code == 1:
                     assert _explains_exit_one(argv[0], out, err), (argv, out, err)
                 if code != 0:
                     after = [paths[key].read_bytes() for key in ("MODEL", "POLICY")]
                     assert after == before, argv
+                    assert _tree(directory) == tree, argv  # nor any other file
+                if code not in (0, 1, 3):
+                    assert out == "", argv
         finally:
             os.chdir(cwd)

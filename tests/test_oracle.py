@@ -9,7 +9,6 @@ brute-force materialization of every category grant.
 """
 
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -300,8 +299,8 @@ def view_case(seed):
 def fold_views(views):
     """The union of views: components, stubs and provenance."""
     parts = {
-        f.name: frozenset().union(*(getattr(v, f.name) for v in views))
-        for f in fields(Model)
+        name: frozenset().union(*(getattr(v, name) for v in views))
+        for name in Model._fields
     }
     provenance = {}
     for view in views:

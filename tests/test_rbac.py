@@ -554,7 +554,8 @@ class TestPolicyIndex:
         assert used == fresh
         assert (hash(used), repr(used)) == (hash(fresh), repr(fresh))
         assert save_policy(used) == save_policy(fresh)
-        assert vars(used).keys() == vars(fresh).keys()
+        for policy in (used, fresh):
+            assert not hasattr(policy, "__dict__") and len(tuple(policy)) == len(rbac.Policy._fields)
 
     @settings(max_examples=150, deadline=None)
     @given(_steps)
