@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import stat
 import sys
@@ -136,23 +135,6 @@ def _parse_filter(text: str) -> OperationFilter:
     raise ValueError(f"filter must be any, read, or op:<id>, got {text!r}")
 
 
-def _permission_rows(permissions) -> list[dict]:
-    return [
-        {"object": p.object.text, "operation": p.operation}
-        for p in sorted(permissions, key=rbac.Permission.sort_key)
-    ]
-
-
-def _view_document(view: rbac.ViewModel) -> dict:
-    doc = model_io.model_to_document(view)
-    doc["vp_stubs"] = sorted(view.vp_stubs)
-    doc["provenance"] = {
-        element: _permission_rows(perms)
-        for element, perms in sorted(view.provenance.items())
-    }
-    return doc
-
-
 def cmd_init_example(args: argparse.Namespace) -> Reply:
     out_dir = Path(args.out_dir)
     out = fixture.explain_normalization() if args.explain else ""
@@ -224,18 +206,12 @@ def cmd_view(args: argparse.Namespace) -> Reply:
     except ValueError as exc:
         raise OvmRbacError(str(exc)) from None
     if args.role is not None:
-        permissions = role_permissions(policy, args.role)
+        subject, permissions = args.role, role_permissions(policy, args.role)
         view = derive_view(policy, model, args.role, op_filter)
     else:
-        permissions = user_permissions(policy, args.user)
+        subject, permissions = args.user, user_permissions(policy, args.user)
         view = user_view(policy, model, args.user, op_filter)
-    document = {
-        "subject": args.role if args.role is not None else args.user,
-        "filter": args.filter,
-        "permissions": _permission_rows(permissions),
-        "view": _view_document(view),
-    }
-    out = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    out = model_io.save_view(view, subject, args.filter, permissions)
     if args.dot is None:
         return Reply(EXIT_OK, out)
     return Reply(EXIT_OK, out, ((args.dot, model_io.export_dot(model, view)),))

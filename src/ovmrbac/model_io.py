@@ -1,4 +1,4 @@
-"""Deterministic JSON persistence for models and policies, plus DOT export.
+"""Deterministic JSON documents for models, policies and views, plus DOT export.
 
 Documents are UTF-8 JSON with sorted keys; their lists and DOT text follow
 each component's order in ``model``, so equal values give equal bytes.
@@ -30,7 +30,12 @@ from .model import (
     list_variants,
     stored_constraints,
 )
-from .rbac import Permission, Policy, check_id, parse_object_id
+from .rbac import Permission, Policy, ViewModel, check_id, parse_object_id
+
+
+def _write(document: dict[str, Any]) -> str:
+    """The text of a document: two-space indents, sorted keys, a final newline."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def _endpoint_to_json(ref: EndpointRef) -> dict[str, str]:
@@ -69,7 +74,7 @@ def model_to_document(model: Model) -> dict[str, Any]:
 
 
 def save_model(model: Model) -> str:
-    return json.dumps(model_to_document(model), indent=2, sort_keys=True) + "\n"
+    return _write(model_to_document(model))
 
 
 def _load_json(text: str) -> Any:
@@ -174,7 +179,25 @@ def policy_to_document(policy: Policy) -> dict[str, Any]:
 
 
 def save_policy(policy: Policy) -> str:
-    return json.dumps(policy_to_document(policy), indent=2, sort_keys=True) + "\n"
+    return _write(policy_to_document(policy))
+
+
+def _permission_rows(permissions) -> list[dict[str, str]]:
+    return [
+        {"object": p.object.text, "operation": p.operation}
+        for p in sorted(permissions, key=Permission.sort_key)
+    ]
+
+
+def save_view(view: ViewModel, subject: str, filter_text: str, permissions) -> str:
+    """A view's document, with the subject, filter and permissions it was built from."""
+    document = model_to_document(view)
+    document["vp_stubs"] = sorted(view.vp_stubs)
+    document["provenance"] = {
+        element: _permission_rows(perms) for element, perms in sorted(view.provenance.items())
+    }
+    return _write({"subject": subject, "filter": filter_text,
+                   "permissions": _permission_rows(permissions), "view": document})
 
 
 def load_policy(text: str) -> Policy:

@@ -178,13 +178,13 @@ class ObjectId(Record):
 
     Renderings: ``set:<CATEGORY>``, ``vp:<name>``, ``variant:<name>``,
     ``dep:<variant>-><vp>``, ``altgroup:<vp>``, and
-    ``constraint:<kind>:<universe>:<name>:<universe>:<name>``. The text is
-    unique per object and stable, so equality and hashing are textual.
-    It is parsed once, on construction, and keeps the category its text
-    names (a ``set:`` id) or spells (see ``_parse_object_text``), and the
-    category its text names, or None (``category`` and ``is_category``).
-    An element id need not reference a currently existing element: grants
-    may precede model edits and stay inert until the element appears.
+    ``constraint:<kind>:<universe>:<name>:<universe>:<name>``. The text is unique
+    per object and stable, so equality and hashing are textual. It is parsed once,
+    on construction: ``_category`` is the category the text names (a ``set:`` id)
+    or spells (a variant, alt-group or constraint id), else None; ``category`` is
+    ``_category`` for a ``set:`` id, else None; ``is_category`` is whether it is a
+    ``set:`` id. An element id need not reference a currently existing element:
+    grants may precede model edits and stay inert until the element appears.
     """
 
     __slots__ = ()
@@ -380,16 +380,26 @@ def element_object_ids(model: Model) -> frozenset[ObjectId]:
     return frozenset(ObjectId(element_text(e)) for e in model_elements(model))
 
 
-class _ViewIndex(Record):
+class _ViewIndex:
     """What views read of one snapshot, each element spelled once: each
     category's (member, id text) pairs, each element by its id text and each
     variant by its name; and, built when a view first admits them, parts."""
 
-    __slots__ = ()
-    members: dict[Category, list[tuple[object, str]]]
-    elements: dict[str, tuple[str, object]]  # id text -> component, element
-    variants: dict[str, tuple[Variant, str]]
-    parts: dict[Category | str, tuple]
+    __slots__ = ("members", "elements", "variants", "parts")
+
+    def __init__(self, model: Model) -> None:
+        members: dict[Category, list[tuple[object, str]]] = {}
+        elements: dict[str, tuple[str, object]] = {}  # id text -> component, element
+        for component, values in zip(Model._fields, model._values):
+            for element in values:
+                spell, classify = _ELEMENT_RULES[type(element)]
+                text = spell(element)
+                elements[text] = component, element
+                members.setdefault(classify(element), []).append((element, text))
+        self.members, self.elements = members, elements
+        self.variants: dict[str, tuple[Variant, str]] = {
+            v.name: (v, text) for v, text in members.get(Category.VARIANT, ())}
+        self.parts: dict[Category | str, tuple] = {}
 
     def part(self, key: Category | str) -> tuple:
         """A category, or the element an id text names: its component, members
@@ -411,23 +421,19 @@ class _ViewIndex(Record):
         return self.parts[key]
 
 
-def _category_index(model: Model) -> _ViewIndex:
-    """The view index of ``model``; one index is kept, keyed by value, and an
-    equal snapshot takes it over so that its later calls match by identity
-    instead of comparing every element."""
-    last, index = _last_index
-    if last != model:
-        index = _ViewIndex({}, {}, {}, {})
-        for component, elements in zip(Model._fields, model._values):
-            for element in elements:
-                spell, classify = _ELEMENT_RULES[type(element)]
-                text = spell(element)
-                index.elements[text] = component, element
-                index.members.setdefault(classify(element), []).append((element, text))
-        for variant, text in index.members.get(Category.VARIANT, ()):
-            index.variants[variant.name] = variant, text
-    _last_index[:] = model, index
+def _kept(cache: list, key, build: Callable):
+    """The index kept in ``cache``, a [key, index] list, rebuilt when ``key``
+    differs by value from the last key. An equal key takes the index over, so
+    that its later calls match by identity instead of comparing every value."""
+    last, index = cache
+    if last != key:
+        index = build(key)
+    cache[:] = key, index
     return index
+
+
+def _category_index(model: Model) -> _ViewIndex:
+    return _kept(_last_index, model, _ViewIndex)
 
 
 def category_members(model: Model, category: Category) -> frozenset[ObjectId]:
@@ -443,28 +449,25 @@ def category_members(model: Model, category: Category) -> frozenset[ObjectId]:
 
 # --- queries and checks -----------------------------------------------------------
 
-class _PolicyIndex(Record):
+class _PolicyIndex:
     """A policy's user roles, role permissions and ``check_access`` entries."""
 
-    __slots__ = ()
-    roles: dict[str, frozenset[str]]
-    grants: dict[str, frozenset[Permission]]
-    decisions: dict[tuple[str, str], tuple[dict, tuple[Category, ...]]]
+    __slots__ = ("roles", "grants", "decisions")
 
-
-def _policy_index(policy: Policy) -> _PolicyIndex:
-    """The index of ``policy``, kept as ``_category_index`` keeps a model's."""
-    last, index = _last_policy
-    if last != policy:
+    def __init__(self, policy: Policy) -> None:
         roles, grants = defaultdict(set), defaultdict(set)
         for user, role in policy.user_assignments:
             roles[user].add(role)
         for perm, role in policy.permission_assignments:
             grants[role].add(perm)
-        index = _PolicyIndex({u: frozenset(r) for u, r in roles.items()},
-                             {r: frozenset(p) for r, p in grants.items()}, {})
-    _last_policy[:] = policy, index
-    return index
+        self.roles: dict[str, frozenset[str]] = {u: frozenset(r) for u, r in roles.items()}
+        self.grants: dict[str, frozenset[Permission]] = {
+            r: frozenset(p) for r, p in grants.items()}
+        self.decisions: dict[tuple[str, str], tuple[dict, tuple[Category, ...]]] = {}
+
+
+def _policy_index(policy: Policy) -> _PolicyIndex:
+    return _kept(_last_policy, policy, _PolicyIndex)
 
 
 def _grants(index: _PolicyIndex, roles: Iterable[str]) -> frozenset[Permission]:

@@ -6,16 +6,17 @@ by another, and says what the fault means. The runner copies ``src/`` and
 ``tests/`` into a temporary directory, so nothing is written into the
 checkout. It runs the tests on the unmutated copy first, then once per
 mutant, and fails when the unmutated copy fails, when an old text is not
-found exactly once, when a test module is missing from its order, or when
-a mutant survives. A mutant is killed only by a failing test; a mutant that
-cannot be imported or collected is an error of the catalogue, not a kill.
+found exactly once, when two mutants make the same change, when a test
+module is missing from its order, or when a mutant survives. A mutant is
+killed only by a failing test; a mutant that cannot be imported or
+collected is an error of the catalogue, not a kill.
 
 Runs are deterministic: ``PYTHONHASHSEED=1``, a fixed hypothesis seed, no
 cache and no bytecode written, and ``-x`` over the test modules in a fixed
 order, the fast killers first.
 
     python tests/mutants.py            # run every mutant
-    python tests/mutants.py --check    # only check the texts and the order
+    python tests/mutants.py --check    # only check the catalogue and the order
 
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
@@ -100,14 +101,15 @@ MUTANTS = (
     # --- the policy index -------------------------------------------------------
     Mutant(
         "policy-index-never-rebuilt", "rbac.py",
-        "if last != policy:",
-        "if last is None:",
+        "return _kept(_last_policy, policy, _PolicyIndex)",
+        "return _kept(_last_policy, _last_policy[0] or policy, _PolicyIndex)",
         "decisions and views of every policy read the first policy's index",
     ),
     Mutant(
         "policy-index-not-taken-over", "rbac.py",
-        "_last_policy[:] = policy, index",
-        "_last_policy[:] = (last if last == policy else policy), index",
+        "return _kept(_last_policy, policy, _PolicyIndex)",
+        "return _kept(_last_policy, _last_policy[0] if _last_policy[0] == policy"
+        " else policy, _PolicyIndex)",
         "the first of equal policies stays the key, so later ones compare "
         "every assignment",
     ),
@@ -195,25 +197,26 @@ MUTANTS = (
         "a view's provenance can be changed after it is built, so it can "
         "drift from an equal view and from its own hash",
     ),
-    # --- the view index --------------------------------------------------------
+    # --- the keep rule of the view and policy indexes ---------------------------
     Mutant(
         "index-never-rebuilt", "rbac.py",
-        "if last != model:",
+        "if last != key:",
         "if last is None:",
-        "views of every snapshot read the first snapshot's index",
+        "views of every snapshot read the first snapshot's index, and "
+        "decisions the first policy's",
     ),
     Mutant(
         "index-matched-by-identity", "rbac.py",
-        "if last != model:",
-        "if last is not model:",
-        "an equal snapshot rebuilds the index instead of sharing it",
+        "if last != key:",
+        "if last is not key:",
+        "an equal snapshot or policy rebuilds the index instead of sharing it",
     ),
     Mutant(
         "index-not-taken-over", "rbac.py",
-        "_last_index[:] = model, index",
-        "_last_index[:] = (last if last == model else model), index",
-        "the first of equal snapshots stays the key, so later ones compare "
-        "every element",
+        "cache[:] = key, index",
+        "cache[:] = (last if last == key else key), index",
+        "the first of equal snapshots or policies stays the key, so later "
+        "ones compare every element or assignment",
     ),
     # --- names -----------------------------------------------------------------
     Mutant(
@@ -310,6 +313,12 @@ MUTANTS = (
     ),
     # --- edits and documents ---------------------------------------------------
     Mutant(
+        "document-keys-unsorted", "model_io.py",
+        "return json.dumps(document, indent=2, sort_keys=True)",
+        "return json.dumps(document, indent=2, sort_keys=False)",
+        "documents list their keys in the order they were built, not sorted",
+    ),
+    Mutant(
         "escape-checks-quotes-only", "model_io.py",
         '''if '"' not in text and "\\\\" not in text:''',
         '''if '"' not in text:''',
@@ -359,6 +368,19 @@ def check_texts(root: Path, mutants: tuple[Mutant, ...]) -> list[str]:
     return errors
 
 
+def repeated_changes(mutants: tuple[Mutant, ...]) -> list[str]:
+    """One error line per mutant with the module, old text and new text of an
+    earlier one."""
+    first: dict[tuple[str, str, str], str] = {}
+    errors = []
+    for mutant in mutants:
+        change = mutant.module, mutant.old, mutant.new
+        if change in first:
+            errors.append(f"{mutant.name}: the same change as {first[change]}")
+        first.setdefault(change, mutant.name)
+    return errors
+
+
 def run_tests(copy: Path) -> tuple[int, str | None, str]:
     """Run the ordered test modules in ``copy``; return the exit code, the
     first failing test, if any, and the end of pytest's output."""
@@ -384,12 +406,13 @@ def run_tests(copy: Path) -> tuple[int, str | None, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--check", action="store_true", help="only check that each old text occurs once"
+        "--check", action="store_true", help="only check the catalogue and the test order"
     )
     args = parser.parse_args(argv)
 
     errors = check_texts(ROOT, MUTANTS)
     print(f"{len(MUTANTS) - len(errors)} of {len(MUTANTS)} old texts found once")
+    errors += repeated_changes(MUTANTS)
     modules = {str(p.relative_to(ROOT)) for p in ROOT.glob("tests/test_*.py")}
     if modules != set(TEST_ORDER):
         errors.append(f"TEST_ORDER misses or names too many: {sorted(modules ^ set(TEST_ORDER))}")

@@ -1,6 +1,7 @@
 """Policy administration, object identifiers, and access decisions."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -36,12 +37,14 @@ from ovmrbac import (
     deassign_user,
     derive_view,
     grant_permission2,
+    load_model,
     load_policy,
     new_empty_model,
     new_empty_policy,
     parse_object_id,
     revoke_permission,
     role_permissions,
+    save_model,
     save_policy,
     user_view,
 )
@@ -57,6 +60,7 @@ from ovmrbac.rbac import (
     variant_object,
     vp_object,
 )
+from tests_support import apply_model_request, random_model_request
 
 ALLOW = Decision.ALLOW
 DENY = Decision.DENY
@@ -443,10 +447,10 @@ for user in sorted(policy.users):
 print(len(calls))
 """
 
-# Admin steps, decisions and views over the fixture's users and roles, a
-# user who holds all three roles, and ids the policy does not register; a
-# query reads the current policy, the one before the last applied step, or
-# an equal copy of the current one.
+# Admin steps, guarded model edits, and decisions and views over the
+# fixture's users and roles, a user who holds all three roles, and ids the
+# policy does not register; a query reads the current policy and model, the
+# one before its last applied step, or an equal copy of the current one.
 _USERS = ("u0", "Alice", "Bob", "Helen", "nobody")
 _ROLES = ("Grid Node Expert", "Image Expert", "Security Expert", "r0")
 _OPERATIONS = ("read", "remove_Variant", "add_AltGroup", "writeOptDep", "unregistered")
@@ -474,13 +478,16 @@ _admin_steps = st.one_of(
               _operations, _roles),
     st.tuples(st.just("revoke_permission"), _objects, _operations, _roles),
 )
+# a model edit is the request that tests_support draws from a seed
+_model_steps = st.tuples(st.just("model"), st.integers(0, 2**32 - 1))
+# a query names the policy, then the element or subject, then the model
 _queries = st.one_of(
-    st.tuples(st.just("check"), _WHICH, _objects),
-    st.tuples(st.just("role view"), _WHICH, _roles),
-    st.tuples(st.just("user view"), _WHICH, _users),
+    st.tuples(st.just("check"), _WHICH, _objects, _WHICH),
+    st.tuples(st.just("role view"), _WHICH, _roles, _WHICH),
+    st.tuples(st.just("user view"), _WHICH, _users, _WHICH),
 )
-# about three queries to an admin step, so that queries read kept entries
-_steps = st.lists(st.one_of(_admin_steps, _queries, _queries, _queries),
+# about three queries to an edit, so that queries read kept entries
+_steps = st.lists(st.one_of(_admin_steps, _model_steps, *[_queries] * 6),
                   min_size=10, max_size=50)
 
 
@@ -560,11 +567,19 @@ class TestPolicyIndex:
     @settings(max_examples=150, deadline=None)
     @given(_steps)
     def test_results_equal_those_after_the_cache_is_cleared(self, example_model, steps):
+        # both kept indexes, the policy's and the model's, across edits of each
         policy = add_user(build_example_policy(), "u0")
         for role in _ROLES[:3]:  # a user who holds several roles
             policy = assign_user(policy, "u0", role)
-        previous = policy
+        previous, model, previous_model = policy, example_model, example_model
         for step in steps:
+            if step[0] == "model":
+                request = random_model_request(random.Random(step[1]))
+                try:
+                    previous_model, model = model, apply_model_request(model, request)
+                except OvmRbacError:
+                    pass
+                continue
             if step[0] in _ADMIN_STEPS:
                 args = list(step[1:])
                 if step[0] == "grant_permission2":
@@ -580,9 +595,13 @@ class TestPolicyIndex:
                 "current": policy, "previous": previous,
                 "equal": load_policy(save_policy(policy)),
             }[step[1]]
-            got = _query(step, queried, example_model)
+            queried_model = {
+                "current": model, "previous": previous_model,
+                "equal": load_model(save_model(model)),
+            }[step[3]]
+            got = _query(step, queried, queried_model)
             kept = list(rbac._last_policy), list(rbac._last_index)
             try:
-                assert got == _query(step, queried, example_model, _clear_caches), step
+                assert got == _query(step, queried, queried_model, _clear_caches), step
             finally:
                 rbac._last_policy[:], rbac._last_index[:] = kept
