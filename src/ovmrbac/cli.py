@@ -50,9 +50,9 @@ class Reply(Record):
     writes: tuple[tuple[str | Path, str], ...] = ()
 
 
-def _fail(message: str, code: int = EXIT_USAGE) -> int:
+def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return code
+    return EXIT_USAGE
 
 
 def _printable(text: str) -> None:

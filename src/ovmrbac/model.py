@@ -4,7 +4,7 @@ A model is an immutable snapshot of five component sets: variation points
 (mandatory or optional), variants, variant-to-variation-point dependencies,
 alternative groups, and requires/excludes constraints. Every mutation is a
 pure function returning a new model; a precondition failure raises and the
-input model is untouched.
+input model is untouched. Values check their field types by ``check_type``.
 
 Two validity tiers apply. Structural invariants hold after every successful
 operation: the two variation-point kinds are disjoint, a variant carries at
@@ -20,8 +20,8 @@ name (``references``), what binds a variant (``_binding`` for one variant,
 ``_binding_counts`` for all), and which kinds of constraint claim an ordered
 pair (``_claims``); a fifth, ``Constraint.closure``, states excludes symmetry.
 Other modules call these rules instead of restating them: ``references`` (what
-a view carries), ``group_members`` (request arguments), ``dependency_between``
-(what a removal request targets), ``closure`` (what loading adds), and each
+a view carries), ``check_type`` and ``group_members`` (request arguments),
+``dependency_between`` (removal targets), ``closure`` (loading), and each
 component's ``sort_key``, ``list_*`` or ``stored_constraints`` (documents, DOT).
 """
 
@@ -178,13 +178,20 @@ def check_name(name: str) -> str:
     return name
 
 
+def check_type(value, cls: type):
+    """Validate that ``value`` is a ``cls``; returns it unchanged."""
+    if not isinstance(value, cls):
+        raise ValueError(f"expected a {cls.__name__}, got {value!r}")
+    return value
+
+
 class VariationPoint(Record):
     __slots__ = ()
     name: str
     kind: VariabilityKind
 
     def __new__(cls, name: str, kind: VariabilityKind):
-        return tuple.__new__(cls, (check_name(name), kind))
+        return tuple.__new__(cls, (check_name(name), check_type(kind, VariabilityKind)))
 
     def sort_key(self) -> tuple[str, str]:
         return (self.name, self.kind._value_)
@@ -207,7 +214,8 @@ class Dependency(Record):
     kind: VariabilityKind
 
     def __new__(cls, variant: str, vp: str, kind: VariabilityKind):
-        return tuple.__new__(cls, (check_name(variant), check_name(vp), kind))
+        variant, vp = check_name(variant), check_name(vp)
+        return tuple.__new__(cls, (variant, vp, check_type(kind, VariabilityKind)))
 
     def sort_key(self) -> tuple[str, str, str]:
         return (self.variant, self.vp, self.kind._value_)
@@ -258,7 +266,7 @@ class EndpointRef(Record):
     name: str
 
     def __new__(cls, universe: Universe, name: str):
-        return tuple.__new__(cls, (universe, check_name(name)))
+        return tuple.__new__(cls, (check_type(universe, Universe), check_name(name)))
 
     def __str__(self) -> str:
         return f"{self.universe._value_}:{self.name}"
@@ -275,6 +283,10 @@ class Constraint(Record):
     kind: ConstraintKind
     source: EndpointRef
     target: EndpointRef
+
+    def __new__(cls, kind: ConstraintKind, source: EndpointRef, target: EndpointRef):
+        kind, source = check_type(kind, ConstraintKind), check_type(source, EndpointRef)
+        return tuple.__new__(cls, (kind, source, check_type(target, EndpointRef)))
 
     def sort_key(self) -> tuple[str, str, str, str, str]:
         source, target = self.source, self.target
@@ -484,8 +496,7 @@ def add_dependency(
     model: Model, variant: str, vp: str, kind: VariabilityKind
 ) -> Model:
     """Bind a free variant to a variation point, mandatorily or optionally."""
-    check_name(variant)
-    check_name(vp)
+    dep = Dependency(variant, vp, kind)  # a wrong-typed field is refused first
     _require(model, Dependency, Universe.VARIANT, variant)
     _require(model, Dependency, Universe.VP, vp)
     bound = _binding(model, variant)
@@ -497,7 +508,7 @@ def add_dependency(
         raise VariantAlreadyBound(
             f"variant {variant!r} is a member of the group at {bound.vp!r}"
         )
-    return model._replace(dependencies=model.dependencies | {Dependency(variant, vp, kind)})
+    return model._replace(dependencies=model.dependencies | {dep})
 
 
 def dependency_between(model: Model, variant: str, vp: str) -> Dependency | None:
@@ -572,11 +583,11 @@ def add_constraint(
     model: Model, kind: ConstraintKind, source: EndpointRef, target: EndpointRef
 ) -> Model:
     """Add a constraint's closure; no kind may claim any of its pairs yet."""
+    added = Constraint(kind, source, target).closure()  # a wrong-typed field is refused first
     for end in (source, target):
         _require(model, Constraint, end.universe, end.name)
     if source == target:
         raise SelfConstraint(f"constraint endpoints are identical: {source.name!r}")
-    added = Constraint(kind, source, target).closure()
     for c in added:
         if _claims(model, c.source, c.target):
             pair = f"{c.source.name!r} -> {c.target.name!r}"

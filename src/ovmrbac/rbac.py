@@ -51,6 +51,7 @@ from .model import (
     VariationPoint,
     Variant,
     check_name,
+    check_type,
     references,
 )
 
@@ -243,6 +244,9 @@ class Permission(Record):
     __slots__ = ()
     object: ObjectId
     operation: str
+
+    def __new__(cls, object: ObjectId, operation: str):
+        return tuple.__new__(cls, (check_type(object, ObjectId), operation))
 
     def sort_key(self) -> tuple[str, str]:
         return (self.object.text, self.operation)

@@ -54,21 +54,9 @@ class ArgKind(Record):
     parse: Callable[[str], object] = str
 
 
-def _integer(value) -> int:
-    if not isinstance(value, int):
-        raise ValueError("group cardinalities must be integers")
-    return value
-
-
 def _value_kind(label: str, cls: type, parse: Callable[[str], object]) -> ArgKind:
     """The kind of an argument that must already be a ``cls`` value."""
-
-    def check(value):
-        if not isinstance(value, cls):
-            raise ValueError(f"expected a {cls.__name__}, got {value!r}")
-        return value
-
-    return ArgKind(label, check, parse)
+    return ArgKind(label, lambda value: ovm.check_type(value, cls), parse)
 
 
 def _endpoint(text: str) -> EndpointRef:
@@ -78,7 +66,7 @@ def _endpoint(text: str) -> EndpointRef:
 
 NAME = ArgKind("NAME", ovm.check_name)
 NAMES = ArgKind("VARIANT VARIANT...", ovm.group_members, frozenset)  # a list in argv
-INT = ArgKind("INT", _integer, int)
+INT = _value_kind("INT", int, int)
 VARIABILITY = _value_kind("mandatory|optional", VariabilityKind, VariabilityKind)
 CONSTRAINT_KIND = _value_kind("requires|excludes", ConstraintKind, ConstraintKind)
 ENDPOINT = _value_kind("variant:NAME|vp:NAME", EndpointRef, _endpoint)
@@ -260,9 +248,8 @@ class Session:
 
     __slots__ = ("user", "model", "policy", "log")
 
-    def __init__(self, user: str, model: Model, policy: Policy, log: list | None = None):
-        self.user, self.model, self.policy = user, model, policy
-        self.log = [] if log is None else log
+    def __init__(self, user: str, model: Model, policy: Policy):
+        self.user, self.model, self.policy, self.log = user, model, policy, []
 
 
 def execute(session: Session, request: OpRequest) -> Outcome:

@@ -6,7 +6,8 @@ by another, and says what the fault means. The runner copies ``src/`` and
 ``tests/`` into a temporary directory, so nothing is written into the
 checkout. It runs the tests on the unmutated copy first, then once per
 mutant, and fails when the unmutated copy fails, when an old text is not
-found exactly once, when two mutants make the same change, when a test
+found exactly once, when a new text equals its old text, when a mutated
+module does not compile, when two mutants make the same change, when a test
 module is missing from its order, or when a mutant survives. A mutant is
 killed only by a failing test; a mutant that cannot be imported or
 collected is an error of the catalogue, not a kill.
@@ -17,6 +18,8 @@ order, the fast killers first.
 
     python tests/mutants.py            # run every mutant
     python tests/mutants.py --check    # only check the catalogue and the order
+
+The check needs no test run, so it takes seconds on every Python version.
 
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
@@ -278,7 +281,8 @@ MUTANTS = (
     Mutant(
         "no-permissions-exits-one", "cli.py",
         "        return _fail(str(exc))\n",
-        "        return _fail(str(exc), EXIT_DENIED if 'no permissions' in str(exc) else EXIT_USAGE)\n",
+        "        _fail(str(exc))\n"
+        "        return EXIT_DENIED if 'no permissions' in str(exc) else EXIT_USAGE\n",
         "a view of a role with no permissions exits 1, as a Deny does",
     ),
     Mutant(
@@ -293,6 +297,30 @@ MUTANTS = (
         "    _printable(out)  # before the directory is made\n",
         "",
         "init-example makes its directory before its output is known to print",
+    ),
+    # --- field types -------------------------------------------------------------
+    Mutant(
+        "check-type-checks-nothing", "model.py",
+        "    if not isinstance(value, cls):\n"
+        '        raise ValueError(f"expected a {cls.__name__}, got {value!r}")\n',
+        "",
+        "no value or request argument is checked for its type, so a wrong-typed "
+        "field fails later, far from the call",
+    ),
+    Mutant(
+        "constraint-fields-unchecked", "model.py",
+        "        kind, source = check_type(kind, ConstraintKind), check_type(source, EndpointRef)\n"
+        "        return tuple.__new__(cls, (kind, source, check_type(target, EndpointRef)))\n",
+        "        return tuple.__new__(cls, (kind, source, target))\n",
+        "a constraint keeps a kind or an endpoint of the wrong type, and the "
+        "model holding it cannot be written",
+    ),
+    Mutant(
+        "permission-object-unchecked", "rbac.py",
+        "return tuple.__new__(cls, (check_type(object, ObjectId), operation))",
+        "return tuple.__new__(cls, (object, operation))",
+        "a permission keeps an object id given as text, and every later "
+        "decision, view or save of its policy fails",
     ),
     # --- records -----------------------------------------------------------------
     Mutant(
@@ -358,13 +386,20 @@ def mutated(source: str, mutant: Mutant) -> str:
 
 
 def check_texts(root: Path, mutants: tuple[Mutant, ...]) -> list[str]:
-    """One error line per mutant whose old text is not found exactly once."""
+    """One error line per mutant whose new text is its old text, whose old
+    text is not found exactly once, or whose mutated module does not compile."""
     errors = []
     for mutant in mutants:
+        if mutant.new == mutant.old:
+            errors.append(f"{mutant.name}: the new text is the old text")
+            continue
         try:
-            mutated((root / PACKAGE / mutant.module).read_text(), mutant)
+            text = mutated((root / PACKAGE / mutant.module).read_text(), mutant)
+            compile(text, mutant.module, "exec", dont_inherit=True)
         except LookupError as exc:
             errors.append(str(exc))
+        except SyntaxError as exc:
+            errors.append(f"{mutant.name}: the mutated {mutant.module} does not compile: {exc}")
     return errors
 
 
@@ -411,7 +446,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     errors = check_texts(ROOT, MUTANTS)
-    print(f"{len(MUTANTS) - len(errors)} of {len(MUTANTS)} old texts found once")
+    print(f"{len(MUTANTS) - len(errors)} of {len(MUTANTS)} mutants apply once and compile")
     errors += repeated_changes(MUTANTS)
     modules = {str(p.relative_to(ROOT)) for p in ROOT.glob("tests/test_*.py")}
     if modules != set(TEST_ORDER):

@@ -624,3 +624,28 @@ def test_alt_group_refuses_malformed_inputs(build, error, text):
         build(pinned_model())
     assert type(exc.value) is error
     assert str(exc.value) == text
+
+
+# A field of the wrong type is refused where the value is made; kept, it
+# would fail far from the call, when the model is written or the endpoint shown.
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda m: add_constraint(m, "requires", variant_ref("e"), variant_ref("f")),
+         "ConstraintKind"),
+        (lambda m: add_constraint(m, REQ, "variant:e", variant_ref("f")), "EndpointRef"),
+        (lambda m: add_constraint(m, REQ, variant_ref("e"), "variant:f"), "EndpointRef"),
+        (lambda m: remove_constraint(m, "excludes", variant_ref("a"), variant_ref("d")),
+         "ConstraintKind"),
+        (lambda m: add_dependency(m, "e", "O", "mandatory"), "VariabilityKind"),
+        (lambda m: str(EndpointRef("variant", "e")), "Universe"),
+    ],
+    ids=["add-constraint-kind", "add-constraint-source", "add-constraint-target",
+         "remove-constraint-kind", "add-dependency-kind", "endpoint-universe"],
+)
+def test_wrong_typed_fields_are_refused_at_the_call(build, expected):
+    model = pinned_model()
+    with pytest.raises(ValueError, match=f"^expected a {expected}, got ") as exc:
+        build(model)
+    assert type(exc.value) is ValueError
+    assert model == pinned_model()

@@ -230,6 +230,16 @@ class TestAdministration:
         with pytest.raises(UnknownOperation):
             grant_permission2(policy, [vp_object("X")], "levitate", "R")
 
+    def test_an_object_id_given_as_text_is_refused_at_the_call(self, example_policy):
+        # kept, such a grant would fail every later decision, view or save
+        # of the policy instead of the call that made it
+        message = "^expected a ObjectId, got 'vp:OS VP'$"
+        with pytest.raises(ValueError, match=message):
+            grant_permission2(example_policy, ["vp:OS VP"], "read", "Image Expert")
+        with pytest.raises(ValueError, match=message):
+            revoke_permission(example_policy, "vp:OS VP", "read", "Image Expert")
+        assert example_policy == build_example_policy()
+
     def test_grant_is_idempotent_and_set_valued(self):
         policy = add_role(new_empty_policy(), "R")
         objects = [vp_object("X"), variant_object("y")]

@@ -225,6 +225,26 @@ def test_a_view_is_not_its_model_and_hashes_without_provenance():
     assert view != other and hash(view) == hash(other)
 
 
+@pytest.mark.parametrize(
+    "record, name, value",
+    [
+        (VariationPoint("a", VariabilityKind.MANDATORY), "kind", "mandatory"),
+        (Dependency("a", "b", VariabilityKind.OPTIONAL), "kind", "optional"),
+        (EndpointRef(Universe.VP, "a"), "universe", "vp"),
+        (Constraint(ConstraintKind.REQUIRES, EndpointRef(Universe.VP, "a"),
+                    EndpointRef(Universe.VARIANT, "b")), "kind", "requires"),
+        (Constraint(ConstraintKind.REQUIRES, EndpointRef(Universe.VP, "a"),
+                    EndpointRef(Universe.VARIANT, "b")), "target", "variant:b"),
+        (Permission(ObjectId("vp:a"), "read"), "object", "vp:a"),
+    ],
+    ids=["vp-kind", "dependency-kind", "endpoint-universe", "constraint-kind",
+         "constraint-target", "permission-object"],
+)
+def test_replace_refuses_a_wrong_typed_field(record, name, value):
+    with pytest.raises(ValueError, match="^expected a "):
+        record._replace(**{name: value})
+
+
 def test_missing_and_unknown_fields_are_refused():
     with pytest.raises(TypeError):
         Permission(ObjectId("vp:a"))
